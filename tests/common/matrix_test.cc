@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "common/matrix.hh"
@@ -172,6 +174,105 @@ TEST(SvdTest, ColumnsOfVAreOrthonormal)
     const SvdResult svd = jacobiSvd(a);
     const Matrix vtv = svd.v.transpose().multiply(svd.v);
     EXPECT_NEAR(vtv.subtract(Matrix::identity(6)).maxAbs(), 0.0, 1e-8);
+}
+
+/**
+ * A rating matrix shaped the way the CF warm start hands it to
+ * jacobiSvd: @p rows apps over the 108 joint configs from a rank-3
+ * model plus noise, about a third of every row unobserved and filled
+ * with that row's observed mean, and the last three rows exact copies
+ * of earlier ones so the matrix is rank deficient. Returned transposed
+ * (108 x rows), as the warm start passes a wide matrix.
+ */
+Matrix
+meanFilledRatings(std::size_t rows, std::uint64_t seed)
+{
+    constexpr std::size_t kConfigs = 108;
+    constexpr std::size_t kRank = 3;
+    Rng rng(seed);
+    const Matrix q = Matrix::random(rows, kRank, rng, 0.2, 1.5);
+    const Matrix p = Matrix::random(kRank, kConfigs, rng, 0.1, 2.0);
+    Matrix filled = q.multiply(p);
+    for (std::size_t r = 0; r < rows; ++r) {
+        double *row = filled.rowPtr(r);
+        std::vector<bool> seen(kConfigs);
+        double sum = 0.0;
+        std::size_t n = 0;
+        for (std::size_t c = 0; c < kConfigs; ++c) {
+            seen[c] = rng.uniform() >= 1.0 / 3.0;
+            if (seen[c]) {
+                row[c] += rng.uniform(-0.05, 0.05);
+                sum += row[c];
+                ++n;
+            }
+        }
+        const double mean = n ? sum / static_cast<double>(n) : 0.0;
+        for (std::size_t c = 0; c < kConfigs; ++c) {
+            if (!seen[c])
+                row[c] = mean;
+        }
+    }
+    for (std::size_t r = rows - 3; r < rows; ++r) {
+        for (std::size_t c = 0; c < kConfigs; ++c)
+            filled(r, c) = filled(r - 7, c);
+    }
+    return filled.transpose();
+}
+
+/** FNV-1a over the bit patterns of @p n doubles, chained. */
+std::uint64_t
+hashBits(std::uint64_t h, const double *x, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &x[i], sizeof(bits));
+        for (int b = 0; b < 8; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+std::uint64_t
+svdDigest(const SvdResult &svd)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    h = hashBits(h, svd.singularValues.data(),
+                 svd.singularValues.size());
+    h = hashBits(h, svd.u.data(), svd.u.rows() * svd.u.cols());
+    return hashBits(h, svd.v.data(), svd.v.rows() * svd.v.cols());
+}
+
+TEST(SvdTest, PinnedBitsOnMeanFilledRatingShapes)
+{
+    // The cold CF start's factors seed the SGD, so any change to the
+    // Jacobi arithmetic — summation order, a fused multiply-add, a
+    // recomputed norm that rounds differently — moves every decision
+    // downstream. Pin the exact output bits and the sweep count on
+    // the two rating-matrix shapes (38 and 21 rows) the fleet's cold
+    // starts factor.
+    struct Case
+    {
+        std::size_t rows;
+        std::uint64_t seed;
+        std::uint64_t digest;
+        int sweeps;
+    };
+    for (const Case &k : {Case{38, 11, 0xb695a1119958535aULL, 12},
+                          Case{21, 12, 0x18f7f02c81c51c28ULL, 10}}) {
+        const Matrix a = meanFilledRatings(k.rows, k.seed);
+        ASSERT_EQ(a.rows(), 108u);
+        ASSERT_EQ(a.cols(), k.rows);
+        const SvdResult svd = jacobiSvd(a);
+        EXPECT_EQ(svdDigest(svd), k.digest)
+            << "rows " << k.rows << " digest 0x" << std::hex
+            << svdDigest(svd);
+        EXPECT_EQ(svd.sweeps, k.sweeps) << "rows " << k.rows;
+        // The copied rows leave a null space.
+        EXPECT_LT(svd.singularValues.back(),
+                  1e-10 * svd.singularValues.front());
+    }
 }
 
 TEST(SvdTest, RejectsWideMatrix)
