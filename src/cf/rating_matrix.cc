@@ -52,21 +52,6 @@ RatingMatrix::setRow(std::size_t r, const std::vector<double> &row_values)
         set(r, c, row_values[c]);
 }
 
-bool
-RatingMatrix::observed(std::size_t r, std::size_t c) const
-{
-    CS_ASSERT(r < rows() && c < cols(), "rating index out of range");
-    return mask_[r * cols() + c] != 0;
-}
-
-double
-RatingMatrix::value(std::size_t r, std::size_t c) const
-{
-    CS_ASSERT(observed(r, c), "reading unobserved rating (", r, ",",
-              c, ")");
-    return values_(r, c);
-}
-
 std::size_t
 RatingMatrix::observedCount() const
 {

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/matrix.hh"
 
 namespace cuttlesys {
@@ -42,10 +43,21 @@ class RatingMatrix
     /** Fill a whole row from @p row_values (offline training rows). */
     void setRow(std::size_t r, const std::vector<double> &row_values);
 
-    bool observed(std::size_t r, std::size_t c) const;
+    bool
+    observed(std::size_t r, std::size_t c) const
+    {
+        CS_ASSERT(r < rows() && c < cols(), "rating index out of range");
+        return mask_[r * cols() + c] != 0;
+    }
 
     /** @pre observed(r, c). */
-    double value(std::size_t r, std::size_t c) const;
+    double
+    value(std::size_t r, std::size_t c) const
+    {
+        CS_ASSERT(observed(r, c), "reading unobserved rating (", r, ",",
+                  c, ")");
+        return values_(r, c);
+    }
 
     /** Observation count in the whole matrix. */
     std::size_t observedCount() const;

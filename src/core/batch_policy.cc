@@ -1,7 +1,6 @@
 #include "core/batch_policy.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
@@ -10,10 +9,28 @@ namespace cuttlesys {
 
 namespace {
 
-double
-logBips(const Matrix &bips, std::size_t j, std::size_t c)
+/** Running (power, ways) totals of @p point, summed in job order. */
+void
+pointTotals(const Point &point, const PreparedObjective &prepared,
+            double &used_power, double &used_ways)
 {
-    return std::log(std::max(bips(j, c), 1e-6));
+    used_power = 0.0;
+    used_ways = 0.0;
+    for (std::size_t j = 0; j < point.size(); ++j) {
+        used_power += prepared.power(j, point[j]);
+        used_ways += prepared.ways(point[j]);
+    }
+}
+
+/** Move job @p j of @p point to config @p c, updating the totals. */
+void
+applyMove(Point &point, const PreparedObjective &prepared,
+          std::size_t j, std::size_t c, double &used_power,
+          double &used_ways)
+{
+    used_power += prepared.power(j, c) - prepared.power(j, point[j]);
+    used_ways += prepared.ways(c) - prepared.ways(point[j]);
+    point[j] = static_cast<std::uint16_t>(c);
 }
 
 /**
@@ -22,15 +39,18 @@ logBips(const Matrix &bips, std::size_t j, std::size_t c)
  * with the best log-throughput gain per unit of (power + priced way)
  * cost until neither budget admits another move. @p used_power /
  * @p used_ways must be the point's current totals and are updated in
- * place.
+ * place. Candidates are scanned in (job, config) order and only a
+ * strictly better gain replaces the incumbent, so ties go to the
+ * first move found.
  */
 void
-upgradeRounds(Point &x, const Matrix &bips, const Matrix &power,
+upgradeRounds(Point &x, const PreparedObjective &prepared,
               double power_budget, double cache_budget,
               double &used_power, double &used_ways)
 {
-    const std::size_t jobs = bips.rows();
-    const std::size_t configs = bips.cols();
+    const std::size_t jobs = prepared.numJobs();
+    const std::size_t configs = prepared.numConfigs();
+    const double *ways = prepared.waysTable();
 
     // Ways are priced far below their power-equivalent exchange rate:
     // the hard feasibility checks below keep both budgets respected,
@@ -45,16 +65,20 @@ upgradeRounds(Point &x, const Matrix &bips, const Matrix &power,
         std::size_t best_job = jobs;
         std::size_t best_cfg = 0;
         for (std::size_t j = 0; j < jobs; ++j) {
+            const double *log_row =
+                prepared.logTable() + j * configs;
+            const double *power_row =
+                prepared.powerTable() + j * configs;
             const std::size_t cur = x[j];
+            const double cur_log = log_row[cur];
+            const double cur_power = power_row[cur];
+            const double cur_ways = ways[cur];
             for (std::size_t c = 0; c < configs; ++c) {
-                const double benefit =
-                    logBips(bips, j, c) - logBips(bips, j, cur);
+                const double benefit = log_row[c] - cur_log;
                 if (benefit <= 0.0)
                     continue;
-                const double d_power = power(j, c) - power(j, cur);
-                const double d_ways =
-                    JobConfig::fromIndex(c).cacheWays() -
-                    JobConfig::fromIndex(cur).cacheWays();
+                const double d_power = power_row[c] - cur_power;
+                const double d_ways = ways[c] - cur_ways;
                 if (used_power + d_power > power_budget ||
                     used_ways + d_ways > cache_budget)
                     continue;
@@ -71,32 +95,26 @@ upgradeRounds(Point &x, const Matrix &bips, const Matrix &power,
         }
         if (best_job == jobs)
             break;
-        used_power +=
-            power(best_job, best_cfg) - power(best_job, x[best_job]);
-        used_ways += JobConfig::fromIndex(best_cfg).cacheWays() -
-                     JobConfig::fromIndex(x[best_job]).cacheWays();
-        x[best_job] = static_cast<std::uint16_t>(best_cfg);
+        applyMove(x, prepared, best_job, best_cfg, used_power,
+                  used_ways);
     }
 }
 
 } // namespace
 
 WayRepair
-repairWayOvercommit(Point &point, const Matrix &bips,
-                    const Matrix &power, double power_budget,
-                    double cache_budget)
+repairWayOvercommit(Point &point, const PreparedObjective &prepared,
+                    double power_budget, double cache_budget)
 {
-    const std::size_t jobs = bips.rows();
-    const std::size_t configs = bips.cols();
+    const std::size_t jobs = prepared.numJobs();
+    const std::size_t configs = prepared.numConfigs();
+    const double *ways = prepared.waysTable();
     CS_ASSERT(point.size() == jobs, "point shape mismatch");
 
     WayRepair repair;
     double used_power = 0.0;
     double used_ways = 0.0;
-    for (std::size_t j = 0; j < jobs; ++j) {
-        used_power += power(j, point[j]);
-        used_ways += JobConfig::fromIndex(point[j]).cacheWays();
-    }
+    pointTotals(point, prepared, used_power, used_ways);
 
     // Repeatedly take the downgrade that frees ways at the least
     // log-throughput cost, preferring moves that keep the power
@@ -107,15 +125,19 @@ repairWayOvercommit(Point &point, const Matrix &bips,
         double best_ratio = std::numeric_limits<double>::infinity();
         bool best_power_ok = false;
         for (std::size_t j = 0; j < jobs; ++j) {
+            const double *log_row =
+                prepared.logTable() + j * configs;
+            const double *power_row =
+                prepared.powerTable() + j * configs;
             const std::size_t cur = point[j];
-            const double cur_ways =
-                JobConfig::fromIndex(cur).cacheWays();
+            const double cur_log = log_row[cur];
+            const double cur_power = power_row[cur];
+            const double cur_ways = ways[cur];
             for (std::size_t c = 0; c < configs; ++c) {
-                const double d_ways =
-                    JobConfig::fromIndex(c).cacheWays() - cur_ways;
+                const double d_ways = ways[c] - cur_ways;
                 if (d_ways >= 0.0)
                     continue;
-                const double d_power = power(j, c) - power(j, cur);
+                const double d_power = power_row[c] - cur_power;
                 const bool power_ok =
                     used_power + d_power <= power_budget ||
                     d_power <= 0.0;
@@ -123,8 +145,7 @@ repairWayOvercommit(Point &point, const Matrix &bips,
                 // busts the cap, no matter the throughput ratio.
                 if (best_power_ok && !power_ok)
                     continue;
-                const double loss =
-                    logBips(bips, j, cur) - logBips(bips, j, c);
+                const double loss = cur_log - log_row[c];
                 const double ratio = loss / -d_ways;
                 if ((power_ok && !best_power_ok) ||
                     ratio < best_ratio) {
@@ -137,14 +158,9 @@ repairWayOvercommit(Point &point, const Matrix &bips,
         }
         if (best_job == jobs)
             break; // every job already at its smallest allocation
-        used_power += power(best_job, best_cfg) -
-                      power(best_job, point[best_job]);
-        const double d_ways =
-            JobConfig::fromIndex(best_cfg).cacheWays() -
-            JobConfig::fromIndex(point[best_job]).cacheWays();
-        used_ways += d_ways;
-        repair.freedWays -= d_ways;
-        point[best_job] = static_cast<std::uint16_t>(best_cfg);
+        repair.freedWays -= ways[best_cfg] - ways[point[best_job]];
+        applyMove(point, prepared, best_job, best_cfg, used_power,
+                  used_ways);
     }
     repair.usedPowerW = used_power;
     repair.usedWays = used_ways;
@@ -152,21 +168,18 @@ repairWayOvercommit(Point &point, const Matrix &bips,
 }
 
 PowerRepair
-repairPowerOvercommit(Point &point, const Matrix &bips,
-                      const Matrix &power, double power_budget,
-                      double cache_budget)
+repairPowerOvercommit(Point &point, const PreparedObjective &prepared,
+                      double power_budget, double cache_budget)
 {
-    const std::size_t jobs = bips.rows();
-    const std::size_t configs = bips.cols();
+    const std::size_t jobs = prepared.numJobs();
+    const std::size_t configs = prepared.numConfigs();
+    const double *ways = prepared.waysTable();
     CS_ASSERT(point.size() == jobs, "point shape mismatch");
 
     PowerRepair repair;
     double used_power = 0.0;
     double used_ways = 0.0;
-    for (std::size_t j = 0; j < jobs; ++j) {
-        used_power += power(j, point[j]);
-        used_ways += JobConfig::fromIndex(point[j]).cacheWays();
-    }
+    pointTotals(point, prepared, used_power, used_ways);
     const double start_power = used_power;
 
     // Repeatedly take the downgrade that sheds watts at the least
@@ -177,19 +190,22 @@ repairPowerOvercommit(Point &point, const Matrix &bips,
         std::size_t best_cfg = 0;
         double best_ratio = std::numeric_limits<double>::infinity();
         for (std::size_t j = 0; j < jobs; ++j) {
+            const double *log_row =
+                prepared.logTable() + j * configs;
+            const double *power_row =
+                prepared.powerTable() + j * configs;
             const std::size_t cur = point[j];
-            const double cur_ways =
-                JobConfig::fromIndex(cur).cacheWays();
+            const double cur_log = log_row[cur];
+            const double cur_power = power_row[cur];
+            const double cur_ways = ways[cur];
             for (std::size_t c = 0; c < configs; ++c) {
-                const double d_power = power(j, c) - power(j, cur);
+                const double d_power = power_row[c] - cur_power;
                 if (d_power >= 0.0)
                     continue;
-                const double d_ways =
-                    JobConfig::fromIndex(c).cacheWays() - cur_ways;
+                const double d_ways = ways[c] - cur_ways;
                 if (used_ways + d_ways > cache_budget + 1e-9)
                     continue;
-                const double loss =
-                    logBips(bips, j, cur) - logBips(bips, j, c);
+                const double loss = cur_log - log_row[c];
                 const double ratio = loss / -d_power;
                 if (ratio < best_ratio) {
                     best_ratio = ratio;
@@ -200,11 +216,8 @@ repairPowerOvercommit(Point &point, const Matrix &bips,
         }
         if (best_job == jobs)
             break; // every job already at its cheapest configuration
-        used_power += power(best_job, best_cfg) -
-                      power(best_job, point[best_job]);
-        used_ways += JobConfig::fromIndex(best_cfg).cacheWays() -
-                     JobConfig::fromIndex(point[best_job]).cacheWays();
-        point[best_job] = static_cast<std::uint16_t>(best_cfg);
+        applyMove(point, prepared, best_job, best_cfg, used_power,
+                  used_ways);
     }
     repair.shavedPowerW = start_power - used_power;
     repair.usedPowerW = used_power;
@@ -214,17 +227,16 @@ repairPowerOvercommit(Point &point, const Matrix &bips,
 }
 
 PowerRepair
-refitPointToBudgets(Point &point, const Matrix &bips,
-                    const Matrix &power, double power_budget,
-                    double cache_budget)
+refitPointToBudgets(Point &point, const PreparedObjective &prepared,
+                    double power_budget, double cache_budget)
 {
     PowerRepair repair = repairPowerOvercommit(
-        point, bips, power, power_budget, cache_budget);
+        point, prepared, power_budget, cache_budget);
     if (!repair.feasible)
         return repair;
     double used_power = repair.usedPowerW;
     double used_ways = repair.usedWays;
-    upgradeRounds(point, bips, power, power_budget, cache_budget,
+    upgradeRounds(point, prepared, power_budget, cache_budget,
                   used_power, used_ways);
     repair.usedPowerW = used_power;
     repair.usedWays = used_ways;
@@ -232,12 +244,12 @@ refitPointToBudgets(Point &point, const Matrix &bips,
 }
 
 void
-greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
+greedyKnapsackSeed(const PreparedObjective &prepared,
                    double power_budget, double cache_budget,
                    KnapsackSeed &seed)
 {
-    const std::size_t jobs = bips.rows();
-    const std::size_t configs = bips.cols();
+    const std::size_t jobs = prepared.numJobs();
+    const std::size_t configs = prepared.numConfigs();
     seed.usedPowerW = 0.0;
     seed.usedWays = 0.0;
     seed.repaired = false;
@@ -245,9 +257,10 @@ greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
     x.assign(jobs, 0);
 
     for (std::size_t j = 0; j < jobs; ++j) {
+        const double *power_row = prepared.powerTable() + j * configs;
         std::size_t cheapest = 0;
         for (std::size_t c = 1; c < configs; ++c) {
-            if (power(j, c) < power(j, cheapest))
+            if (power_row[c] < power_row[cheapest])
                 cheapest = c;
         }
         x[j] = static_cast<std::uint16_t>(cheapest);
@@ -260,35 +273,36 @@ greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
     // infeasible and hand DDS a penalized starting point: repair it
     // first.
     const WayRepair repair = repairWayOvercommit(
-        x, bips, power, power_budget, cache_budget);
+        x, prepared, power_budget, cache_budget);
     seed.repaired = repair.freedWays > 0.0;
     double used_power = repair.usedPowerW;
     double used_ways = repair.usedWays;
-    upgradeRounds(x, bips, power, power_budget, cache_budget,
-                  used_power, used_ways);
+    upgradeRounds(x, prepared, power_budget, cache_budget, used_power,
+                  used_ways);
     seed.usedPowerW = used_power;
     seed.usedWays = used_ways;
 }
 
 KnapsackSeed
-greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
+greedyKnapsackSeed(const PreparedObjective &prepared,
                    double power_budget, double cache_budget)
 {
     KnapsackSeed seed;
-    greedyKnapsackSeed(bips, power, power_budget, cache_budget, seed);
+    greedyKnapsackSeed(prepared, power_budget, cache_budget, seed);
     return seed;
 }
 
-CapEnforcement
+void
 enforcePowerCap(SliceDecision &decision, const Matrix &power,
-                double power_budget)
+                double power_budget, CapEnforcement &result)
 {
     const std::size_t jobs = decision.batchConfigs.size();
     CS_ASSERT(decision.batchActive.size() == jobs,
               "decision shape mismatch");
     CS_ASSERT(power.rows() >= jobs, "power matrix too small");
 
-    CapEnforcement result;
+    result.victims.clear();
+    result.reclaimedWays = 0.0;
     double batch_power = 0.0;
     for (std::size_t j = 0; j < jobs; ++j) {
         if (decision.batchActive[j])
@@ -324,6 +338,14 @@ enforcePowerCap(SliceDecision &decision, const Matrix &power,
         result.victims.push_back(victim);
     }
     result.finalPowerW = batch_power;
+}
+
+CapEnforcement
+enforcePowerCap(SliceDecision &decision, const Matrix &power,
+                double power_budget)
+{
+    CapEnforcement result;
+    enforcePowerCap(decision, power, power_budget, result);
     return result;
 }
 

@@ -39,8 +39,15 @@ struct KnapsackSeed
  * unit of cost until the budgets are exhausted. For concave
  * allocation curves this lands near the optimum; DDS refines it
  * globally.
+ *
+ * The seed, both overcommit repairs and the re-fit read the
+ * quantum's PreparedObjective — its log-throughput, power and
+ * per-config way tables — rather than the prediction matrices, so
+ * they and the search price a configuration from the same cached
+ * values. The budgets are passed explicitly: the fast path re-fits
+ * under budgets the prepared context has not seen yet.
  */
-KnapsackSeed greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
+KnapsackSeed greedyKnapsackSeed(const PreparedObjective &prepared,
                                 double power_budget,
                                 double cache_budget);
 
@@ -49,7 +56,7 @@ KnapsackSeed greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
  * point buffer's capacity is reused, so the runtime's per-quantum warm
  * start allocates nothing in steady state.
  */
-void greedyKnapsackSeed(const Matrix &bips, const Matrix &power,
+void greedyKnapsackSeed(const PreparedObjective &prepared,
                         double power_budget, double cache_budget,
                         KnapsackSeed &seed);
 
@@ -70,8 +77,9 @@ struct WayRepair
  * same way the greedy seed can — both go through this repair so the
  * emitted schedule always satisfies the machine's way invariant.
  */
-WayRepair repairWayOvercommit(Point &point, const Matrix &bips,
-                              const Matrix &power, double power_budget,
+WayRepair repairWayOvercommit(Point &point,
+                              const PreparedObjective &prepared,
+                              double power_budget,
                               double cache_budget);
 
 /** Outcome of a power-overcommit repair pass. */
@@ -95,8 +103,8 @@ struct PowerRepair
  * gating costs all of it — and the incremental fast path uses it to
  * re-fit the cached schedule under each quantum's budget.
  */
-PowerRepair repairPowerOvercommit(Point &point, const Matrix &bips,
-                                  const Matrix &power,
+PowerRepair repairPowerOvercommit(Point &point,
+                                  const PreparedObjective &prepared,
                                   double power_budget,
                                   double cache_budget);
 
@@ -111,8 +119,8 @@ PowerRepair repairPowerOvercommit(Point &point, const Matrix &bips,
  * into headroom when it recovers — exactly as a full re-search would,
  * at a tiny fraction of its cost. Deterministic and heap-free.
  */
-PowerRepair refitPointToBudgets(Point &point, const Matrix &bips,
-                                const Matrix &power,
+PowerRepair refitPointToBudgets(Point &point,
+                                const PreparedObjective &prepared,
                                 double power_budget,
                                 double cache_budget);
 
@@ -138,6 +146,14 @@ struct CapEnforcement
 CapEnforcement enforcePowerCap(SliceDecision &decision,
                                const Matrix &power,
                                double power_budget);
+
+/**
+ * In-place form of enforcePowerCap: @p result is overwritten and its
+ * victim buffer's capacity is reused, so a quantum that gates cores
+ * allocates nothing in steady state.
+ */
+void enforcePowerCap(SliceDecision &decision, const Matrix &power,
+                     double power_budget, CapEnforcement &result);
 
 } // namespace cuttlesys
 

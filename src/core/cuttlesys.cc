@@ -479,7 +479,7 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
             dds.seedPoints[i] = options_.dds.seedPoints[i];
         std::size_t next_seed = base_seeds;
         if (options_.searchWarmStart) {
-            greedyKnapsackSeed(bips, power, power_budget, cache_budget,
+            greedyKnapsackSeed(prepared_, power_budget, cache_budget,
                                knapsackSeed_);
             if (rec) {
                 rec->seedWays = knapsackSeed_.usedWays;
@@ -534,7 +534,7 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
     // cannot execute that: repair the overcommit the same way the
     // greedy seed is repaired before the decision leaves the runtime.
     const WayRepair repair = repairWayOvercommit(
-        found.best, bips, power, power_budget, cache_budget);
+        found.best, prepared_, power_budget, cache_budget);
     if (rec)
         rec->searchRepairedWays = repair.freedWays;
 
@@ -559,8 +559,8 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
     // of predicted power until the budget is met; gated cores release
     // their LLC ways back to the partition.
     telemetry::PhaseTimer timer(trace_, telemetry::Phase::Enforce);
-    const CapEnforcement enforced =
-        enforcePowerCap(decision, power, power_budget);
+    CapEnforcement &enforced = capEnforcement_;
+    enforcePowerCap(decision, power, power_budget, enforced);
     if (rec) {
         rec->capVictims = enforced.victims;
         rec->reclaimedWays = enforced.reclaimedWays;

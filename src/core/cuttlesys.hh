@@ -305,6 +305,7 @@ class CuttleSysScheduler : public Scheduler
     DdsOptions ddsOpts_;          //!< per-quantum working copy
     SearchResult searchResult_;
     KnapsackSeed knapsackSeed_;
+    CapEnforcement capEnforcement_; //!< this quantum's gating outcome
 
     std::size_t lcCores_;
     double lastLoadEstimate_ = -1.0;

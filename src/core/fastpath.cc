@@ -131,15 +131,14 @@ CuttleSysScheduler::tryFastReuse(const SliceContext &ctx,
     // direction; the full path would absorb that by re-searching —
     // shaving a config when the budget dips, spending the headroom
     // when it recovers — never by gating. The graded re-fit
-    // reproduces both directions (searchBips_ / searchPower_ still
-    // mirror the prediction matrices — the fast path skips exactly
+    // reproduces both directions (prepared_'s tables still mirror the
+    // last full quantum's predictions — the fast path skips exactly
     // the step that would change them), and restarts from the
     // unmodified cached point each quantum, so earlier downgrades are
     // undone the moment the budget allows.
     fastRepairScratch_.assign(cachedPoint_.begin(), cachedPoint_.end());
-    const PowerRepair refit =
-        refitPointToBudgets(fastRepairScratch_, searchBips_,
-                            searchPower_, power_budget, cache_budget);
+    const PowerRepair refit = refitPointToBudgets(
+        fastRepairScratch_, prepared_, power_budget, cache_budget);
     if (!refit.feasible)
         return false;
 
@@ -175,8 +174,8 @@ CuttleSysScheduler::tryFastReuse(const SliceContext &ctx,
     // a no-victim audit pass — kept so the emitted decision satisfies
     // the same enforcement invariant as a full quantum's even when
     // the repair bottomed out exactly at the budget.
-    const CapEnforcement enforced =
-        enforcePowerCap(out, searchPower_, power_budget);
+    CapEnforcement &enforced = capEnforcement_;
+    enforcePowerCap(out, searchPower_, power_budget, enforced);
 
     // A pending memo seed described this quantum's quantized
     // conditions; the cached decision already fits them.

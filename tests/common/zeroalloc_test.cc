@@ -207,6 +207,52 @@ TEST(ZeroAlloc, FleetNodeSteadyStateQuantumIsHeapFree)
         << allocs << " times over " << kMeasured << " quanta";
 }
 
+TEST(ZeroAlloc, CapEnforcementWithVictimsIsHeapFree)
+{
+    // The fleet-node gate under a budget too tight for the batch
+    // tier: every measured full quantum ends in cap enforcement that
+    // gates at least one core, and recording the victims must reuse
+    // the scheduler's buffer rather than allocate a fresh list.
+    setInformEnabled(false);
+    const SystemParams params;
+    DriverOptions opts;
+    opts.durationSec = 10.0;
+    opts.loadPattern = LoadPattern::constant(0.45);
+    opts.powerPattern = LoadPattern::constant(0.25);
+    opts.maxPowerW = 150.0;
+    opts.keepSliceRecords = false;
+    CuttleSysOptions sched;
+    sched.loadChangeThreshold = 1.0;
+    sched.fastPath = false;
+    cluster::ClusterNode node(params, testTrainingTables(),
+                              makeTestMix(), 21, opts, 3, sched);
+
+    const auto gated = [&node] {
+        std::size_t off = 0;
+        for (const bool active : node.run().lastDecision().batchActive)
+            off += active ? 0 : 1;
+        return off;
+    };
+
+    for (int q = 0; q < 12; ++q)
+        node.step();
+
+    constexpr int kMeasured = 8;
+    int quanta_with_victims = 0;
+    const std::uint64_t before = AllocProbe::newCount();
+    for (int q = 0; q < kMeasured; ++q) {
+        node.step();
+        quanta_with_victims += gated() > 0 ? 1 : 0;
+    }
+    const std::uint64_t allocs = AllocProbe::newCount() - before;
+
+    EXPECT_EQ(quanta_with_victims, kMeasured)
+        << "the budget must gate a core in every measured quantum";
+    EXPECT_EQ(allocs, 0u)
+        << "cap enforcement with victims touched the heap " << allocs
+        << " times over " << kMeasured << " quanta";
+}
+
 TEST(ZeroAlloc, FastReuseQuantumIsHeapFree)
 {
     // The incremental-decision gate: with the stability gate enabled,
