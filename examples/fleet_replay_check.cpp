@@ -15,7 +15,10 @@
  *   --save PATH     write this process's reference trace as JSONL
  *   --against PATH  additionally diff the reference against a trace
  *                   saved by an earlier run (wall-clock fields are
- *                   excluded by the structural diff)
+ *                   excluded by the structural diff); a mismatch
+ *                   there means changed behaviour or a stale
+ *                   reference, not nondeterminism, and gets its own
+ *                   verdict (the exit code is 1 either way)
  *
  * With --tenants the fleet runs the 3-tenant skewed-arrival
  * configuration (fair-share queue ordering, class-strict preemption),
@@ -235,6 +238,7 @@ main(int argc, char **argv)
         break;
     }
 
+    bool stale_reference = false;
     if (ok && !againstPath.empty()) {
         const std::vector<telemetry::QuantumRecord> other =
             telemetry::readTraceFile(againstPath);
@@ -245,7 +249,7 @@ main(int argc, char **argv)
                     againstPath.c_str(), other.size(),
                     diff.comparedFields, diff.mismatches.size());
         if (!diff.identical()) {
-            ok = false;
+            stale_reference = true;
             std::printf("\n%s\n", diff.toString().c_str());
             dumpTrace("fleet_replay_reference.jsonl", reference);
             std::ofstream report("fleet_replay_diff.txt",
@@ -254,12 +258,21 @@ main(int argc, char **argv)
         }
     }
 
-    if (ok) {
-        std::printf("fleet replay OK: cluster decision traces are "
-                    "structurally identical\n");
-        return 0;
+    if (!ok) {
+        std::printf("fleet replay FAILED: cluster-level "
+                    "nondeterminism detected\n");
+        return 1;
     }
-    std::printf("fleet replay FAILED: cluster-level nondeterminism "
-                "detected\n");
-    return 1;
+    if (stale_reference) {
+        // The in-process runs agreed, so this is not nondeterminism:
+        // the decisions differ from an earlier build's.
+        std::printf("fleet replay FAILED: the trace differs from "
+                    "reference %s, because behaviour changed or the "
+                    "reference is stale\n",
+                    againstPath.c_str());
+        return 1;
+    }
+    std::printf("fleet replay OK: cluster decision traces are "
+                "structurally identical\n");
+    return 0;
 }

@@ -37,10 +37,11 @@ CfEngine::clearJob(std::size_t job)
 {
     CS_ASSERT(job < numJobs_, "live job ", job, " out of range");
     ratings_.clearRow(trainingRows_ + job);
-    // Job churn: the cached factors encode the departed job's row, so
-    // warm-starting from them would bias the replacement's
-    // predictions toward its predecessor.
-    factors_.invalidate();
+    // Job churn: the departed job's latent vector would bias the
+    // replacement's predictions toward its predecessor, so only that
+    // row restarts (by fold-in on the next predict); P and the other
+    // rows stay warm.
+    factors_.invalidateRow(trainingRows_ + job);
 }
 
 std::size_t
@@ -97,6 +98,7 @@ CfEngine::predictInto(Matrix &out, ScratchArena &arena) const
         rowContext_.empty() ? nullptr : &rowContext_,
         factors_, out, trainingRows_, arena);
     lastIterations_ = stats.iterations;
+    lastSvdSweeps_ = stats.svdSweeps;
 
     // Measured cells override their predictions (Section IV-B).
     for (std::size_t j = 0; j < numJobs_; ++j) {

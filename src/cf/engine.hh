@@ -51,7 +51,11 @@ class CfEngine
     /** Record a live-job observation. */
     void observe(std::size_t job, std::size_t config, double value);
 
-    /** Forget all observations of a live job (job churn). */
+    /**
+     * Forget all observations of a live job (job churn) and reset the
+     * job's row of the cached factors; every other row and the
+     * configuration factors stay warm.
+     */
     void clearJob(std::size_t job);
 
     /** Observations currently held for a live job. */
@@ -84,11 +88,18 @@ class CfEngine
     std::size_t lastIterations() const { return lastIterations_; }
 
     /**
+     * Last reconstruction's Jacobi SVD sweeps: above 0 only on a cold
+     * start with SgdOptions::svdWarmStart, 0 on a warm run.
+     */
+    std::size_t lastSvdSweeps() const { return lastSvdSweeps_; }
+
+    /**
      * Enable/disable reusing the previous reconstruction's factors as
-     * the next one's starting point (on by default). The factors are
-     * invalidated automatically on clearJob() — a churned row makes
-     * the old factors a misleading start — and can be dropped
-     * explicitly with invalidateFactors().
+     * the next one's starting point (on by default). clearJob() keeps
+     * the cache and resets only the churned job's row, which the next
+     * warm run re-initializes by fold-in against the retained
+     * configuration factors; invalidateFactors() drops the whole
+     * cache.
      */
     void setFactorWarmStart(bool enable) { factorWarmStart_ = enable; }
     bool factorWarmStart() const { return factorWarmStart_; }
@@ -98,6 +109,9 @@ class CfEngine
 
     /** True when a warm start is available for the next predict(). */
     bool hasCachedFactors() const { return !factors_.empty(); }
+
+    /** The cached factors (training rows first, then live jobs). */
+    const SgdFactors &cachedFactors() const { return factors_; }
 
     SgdOptions &options() { return options_; }
     const SgdOptions &options() const { return options_; }
@@ -111,6 +125,7 @@ class CfEngine
     bool factorWarmStart_ = true;
     mutable SgdFactors factors_;     //!< last predict()'s factors
     mutable std::size_t lastIterations_ = 0;
+    mutable std::size_t lastSvdSweeps_ = 0;
 };
 
 } // namespace cuttlesys

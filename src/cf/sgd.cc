@@ -171,10 +171,40 @@ sgdUpdate(const Sample &s, double *q, double *p, std::size_t stride,
 }
 
 /**
- * SVD warm start: factor the mean-filled normalized matrix. Cold
- * start only, so the dense temporaries may use the heap.
+ * Closed-form ridge refit of one row's factors against P:
+ * (P_o^T P_o + lambda I) q = P_o^T y over the row's observed columns,
+ * samples [begin, end). @p a (rank x rank) and @p b (rank) are
+ * scratch; the solution lands in @p qr's first rank entries.
  */
 void
+foldInRow(const Sample *samples, std::size_t begin, std::size_t end,
+          const double *p, std::size_t stride, std::size_t rank,
+          double regularization, double *a, double *b, double *qr)
+{
+    kernels::fill(a, 0.0, rank * rank);
+    kernels::fill(b, 0.0, rank);
+    for (std::size_t o = begin; o < end; ++o) {
+        const Sample &s = samples[o];
+        const double *pc = p + s.col * stride;
+        for (std::size_t i = 0; i < rank; ++i) {
+            b[i] += pc[i] * s.target;
+            for (std::size_t j = 0; j < rank; ++j)
+                a[i * rank + j] += pc[i] * pc[j];
+        }
+    }
+    const double ridge = std::max(regularization, 1e-6);
+    for (std::size_t i = 0; i < rank; ++i)
+        a[i * rank + i] += ridge;
+    solveLinearSystemInPlace(a, b, rank);
+    kernels::copy(qr, b, rank);
+}
+
+/**
+ * SVD warm start: factor the mean-filled normalized matrix. Cold
+ * start only, so the dense temporaries may use the heap. Returns the
+ * Jacobi sweep count.
+ */
+int
 svdWarmStart(const RatingMatrix &ratings, const double *scales,
              bool log_transform, std::size_t rank, std::size_t stride,
              double *q, double *p)
@@ -217,6 +247,7 @@ svdWarmStart(const RatingMatrix &ratings, const double *scales,
         for (std::size_t c = 0; c < cols; ++c)
             p[c * stride + k] = col_side(c, k) * s;
     }
+    return svd.sweeps;
 }
 
 /**
@@ -368,10 +399,31 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
     Sample *samples = set.samples;
     const std::size_t total = set.count;
 
+    // Ridge fold-in workspaces, shared by both foldInRow() sites.
+    double *fold_a = arena.alloc<double>(rank * rank);
+    double *fold_b = arena.alloc<double>(rank);
+
+    SgdRunStats stats;
     Rng rng(options.seed);
     const bool warm = !factors.empty() && factors.rows == rows &&
                       factors.cols == cols && factors.rank == rank;
-    if (!warm) {
+    if (warm) {
+        // Churned rows restart from the closed-form fit of their own
+        // observations against the retained P, so SGD adapts them in
+        // a few epochs like any other row; unobserved ones stay zero.
+        for (std::size_t r = 0; r < rows; ++r) {
+            if (!factors.stale[r])
+                continue;
+            factors.stale[r] = 0;
+            const std::size_t begin = set.rowOffsets[r];
+            const std::size_t end = set.rowOffsets[r + 1];
+            if (begin == end)
+                continue;
+            foldInRow(samples, begin, end, factors.p.data(),
+                      factors.stride, rank, options.regularization,
+                      fold_a, fold_b, factors.qRow(r));
+        }
+    } else {
         // Cold start (or shape churn): zero-fill — which establishes
         // the lane padding's invariant — then draw the random factor
         // entries in the same q-before-p order as always.
@@ -389,16 +441,15 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
                 pc[k] = rng.uniform(0.0, init);
         }
         if (options.svdWarmStart && total > 0) {
-            svdWarmStart(ratings, set.scales, options.logTransform,
-                         rank, factors.stride, factors.q.data(),
-                         factors.p.data());
+            stats.svdSweeps = static_cast<std::size_t>(svdWarmStart(
+                ratings, set.scales, options.logTransform, rank,
+                factors.stride, factors.q.data(), factors.p.data()));
         }
     }
     const std::size_t stride = factors.stride;
     double *q = factors.q.data();
     double *p = factors.p.data();
 
-    SgdRunStats stats;
     if (total > 0) {
         std::size_t conv_n = 0;
         const Sample *conv = convergenceSubset(
@@ -504,35 +555,17 @@ reconstructInto(const RatingMatrix &ratings, const SgdOptions &options,
             }
         }
         if (options.foldInRows) {
-            // Closed-form ridge refit of each row's factors against
-            // the learned P: (P_o^T P_o + lambda I) q = P_o^T y over
-            // that row's observed columns. The samples are row-major,
-            // so rowOffsets slices them per row without a pointer
-            // table.
-            double *a = arena.alloc<double>(rank * rank);
-            double *b = arena.alloc<double>(rank);
+            // Refit every observed row against the learned P. The
+            // samples are row-major, so rowOffsets slices them per
+            // row without a pointer table.
             for (std::size_t r = 0; r < rows; ++r) {
                 const std::size_t begin = set.rowOffsets[r];
                 const std::size_t end = set.rowOffsets[r + 1];
                 if (begin == end)
                     continue;
-                kernels::fill(a, 0.0, rank * rank);
-                kernels::fill(b, 0.0, rank);
-                for (std::size_t o = begin; o < end; ++o) {
-                    const Sample &s = samples[o];
-                    const double *pc = p + s.col * stride;
-                    for (std::size_t i = 0; i < rank; ++i) {
-                        b[i] += pc[i] * s.target;
-                        for (std::size_t j = 0; j < rank; ++j)
-                            a[i * rank + j] += pc[i] * pc[j];
-                    }
-                }
-                const double ridge =
-                    std::max(options.regularization, 1e-6);
-                for (std::size_t i = 0; i < rank; ++i)
-                    a[i * rank + i] += ridge;
-                solveLinearSystemInPlace(a, b, rank);
-                kernels::copy(q + r * stride, b, rank);
+                foldInRow(samples, begin, end, p, stride, rank,
+                          options.regularization, fold_a, fold_b,
+                          q + r * stride);
             }
         }
         stats.trainRmse = rmse(samples, total, q, p, stride);

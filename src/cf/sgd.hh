@@ -111,6 +111,12 @@ struct SgdFactors
      */
     std::vector<double> q;   //!< rows x stride, row-major
     std::vector<double> p;   //!< cols x stride, row-major
+    /**
+     * Per-row stale marks set by invalidateRow(): the row's Q vector
+     * was zeroed and the next warm reconstruction re-initializes it
+     * by fold-in against the retained P before the first epoch.
+     */
+    std::vector<char> stale;
     std::size_t rows = 0;
     std::size_t cols = 0;
     std::size_t rank = 0;
@@ -140,6 +146,7 @@ struct SgdFactors
         stride = kernels::padded(new_rank);
         q.assign(rows * stride, 0.0);
         p.assign(cols * stride, 0.0);
+        stale.assign(rows, 0);
     }
 
     /**
@@ -150,6 +157,22 @@ struct SgdFactors
     invalidate()
     {
         rows = cols = rank = stride = 0;
+        stale.clear();
+    }
+
+    /**
+     * Forget one row's latent vector (job churn) and keep every other
+     * row and all of P warm: zero the row's Q vector and mark it
+     * stale. A no-op on empty factors or an out-of-range row — the
+     * next reconstruction cold-starts or never reads the row anyway.
+     */
+    void
+    invalidateRow(std::size_t r)
+    {
+        if (r >= rows)
+            return;
+        kernels::fill(qRow(r), 0.0, stride);
+        stale[r] = 1;
     }
 };
 
@@ -180,9 +203,10 @@ struct SgdResult
  * @param warm_start optional factors from a previous reconstruction
  *        of (a slightly updated version of) the same matrix. Used as
  *        the starting point when their shape matches the current
- *        (rows, cols, effective rank); otherwise — cold start or job
- *        churn — the random / Jacobi-SVD initialization runs as
- *        usual.
+ *        (rows, cols, effective rank); otherwise — cold start — the
+ *        random / Jacobi-SVD initialization runs as usual. Rows the
+ *        warm start marks stale (job churn) are re-initialized by
+ *        fold-in; see reconstructInto().
  *
  * Predictions of physical quantities are clamped to be non-negative.
  */
@@ -196,6 +220,9 @@ struct SgdRunStats
 {
     std::size_t iterations = 0;
     double trainRmse = 0.0;  //!< RMSE on observed (normalized) cells
+    /** Jacobi sweeps of the SVD warm start: a deterministic work
+     *  counter, 0 on a warm run or without svdWarmStart. */
+    std::size_t svdSweeps = 0;
 };
 
 /**
@@ -204,7 +231,10 @@ struct SgdRunStats
  * @param factors in/out: a non-empty value whose (rows, cols, rank)
  *        match the current problem is the warm starting point and is
  *        updated *in place* (no copy); otherwise it is re-shaped —
- *        reusing its buffer capacity — and cold-started.
+ *        reusing its buffer capacity — and cold-started. On the warm
+ *        path, rows marked by SgdFactors::invalidateRow() that hold
+ *        observations are first re-initialized by ridge fold-in
+ *        against the retained P; the marks are cleared.
  * @param out receives the predictions for rows [first_row, rows):
  *        resized (capacity-reusing) to (rows - first_row) x cols, so
  *        a caller that only consumes the live-job rows never

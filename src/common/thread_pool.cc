@@ -69,7 +69,7 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::runIndex(Batch &batch, std::size_t i)
+ThreadPool::runIndex(Batch &batch, std::size_t i, std::size_t n)
 {
     try {
         batch.task.invoke(batch.task.ctx, i);
@@ -78,7 +78,7 @@ ThreadPool::runIndex(Batch &batch, std::size_t i)
         if (!batch.error)
             batch.error = std::current_exception();
     }
-    if (batch.done.fetch_add(1) + 1 == batch.n) {
+    if (batch.done.fetch_add(1) + 1 == n) {
         // The lock pairs with the caller's predicate check so the
         // final notification cannot slip between check and sleep.
         LockGuard lock(batch.doneMutex);
@@ -101,7 +101,12 @@ ThreadPool::workerLoop()
         {
             std::shared_ptr<Batch> batch = queue_[queueHead_];
             std::size_t i = batch->next.fetch_add(1);
-            if (i >= batch->n) {
+            // Read the size under the lock only: once this worker's
+            // reference is gone, acquireBatch rewrites it for the
+            // record's next region, and its refcount check does not
+            // order that write after reads made outside the lock.
+            const std::size_t n = batch->n;
+            if (i >= n) {
                 // Exhausted; retire it so later batches become
                 // visible. Rewinding the head to 0 when the queue
                 // drains keeps the vector's capacity bounded.
@@ -122,12 +127,12 @@ ThreadPool::workerLoop()
             // help. Claim-then-wake keeps the number of futex wakes
             // proportional to the parallelism the region actually
             // has, not the pool width.
-            if (i + 1 < batch->n)
+            if (i + 1 < n)
                 cv_.notify_one();
             do {
-                runIndex(*batch, i);
+                runIndex(*batch, i, n);
                 i = batch->next.fetch_add(1);
-            } while (i < batch->n);
+            } while (i < n);
         }
         // The batch reference died before re-locking, so a retired
         // record's refcount can fall to 1 and be recycled.
@@ -202,7 +207,7 @@ ThreadPool::parallelForTask(std::size_t n, TaskRef task)
     // (including nested parallelFor calls from pool tasks).
     std::size_t i;
     while ((i = batch->next.fetch_add(1)) < n)
-        runIndex(*batch, i);
+        runIndex(*batch, i, n);
 
     std::exception_ptr error;
     {

@@ -131,7 +131,7 @@ class ThreadPool
 
     void parallelForTask(std::size_t n, TaskRef task);
     void workerLoop();
-    static void runIndex(Batch &batch, std::size_t i);
+    static void runIndex(Batch &batch, std::size_t i, std::size_t n);
     std::shared_ptr<Batch> acquireBatch() CS_REQUIRES(mutex_);
 
     Mutex mutex_;

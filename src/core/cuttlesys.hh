@@ -183,9 +183,10 @@ class CuttleSysScheduler : public Scheduler
     /**
      * Drop batch slot @p slot's learned state on churn: its rows in
      * the BIPS and power rating matrices are cleared through
-     * CfEngine::clearJob, which also invalidates the engines' cached
-     * SGD warm-start factors — the next tenant's profiling samples
-     * start a clean row instead of blending with the departed job's.
+     * CfEngine::clearJob, which also resets the slot's latent vector
+     * in the engines' cached SGD factors — the next tenant's
+     * profiling samples start a clean row instead of blending with
+     * the departed job's, while every other row stays warm.
      */
     void onJobChurn(std::size_t slot) override;
 

@@ -13,6 +13,7 @@
 #include "cf/engine.hh"
 #include "cf/sgd.hh"
 #include "common/rng.hh"
+#include "factor_checks.hh"
 
 namespace cuttlesys {
 namespace {
@@ -109,7 +110,7 @@ TEST(WarmStartTest, EnginePredictUsesCachedFactors)
     EXPECT_LT(engine.lastIterations(), cold_iters);
 }
 
-TEST(WarmStartTest, ClearJobInvalidatesFactors)
+TEST(WarmStartTest, ClearJobInvalidatesOnlyTheChurnedRow)
 {
     Rng rng(59);
     const Matrix training = lowRankMatrix(10, 16, 3, rng);
@@ -117,8 +118,16 @@ TEST(WarmStartTest, ClearJobInvalidatesFactors)
     engine.observe(0, 1, training(1, 1));
     engine.predict();
     ASSERT_TRUE(engine.hasCachedFactors());
+    const SgdFactors before = engine.cachedFactors();
     engine.clearJob(0);
-    EXPECT_FALSE(engine.hasCachedFactors());
+
+    // The cache survives; only the churned row's latent vector is
+    // reset, and every other Q row and all of P are untouched.
+    EXPECT_TRUE(engine.hasCachedFactors());
+    const SgdFactors &after = engine.cachedFactors();
+    const std::size_t churned = training.rows();
+    EXPECT_TRUE(qRowChanged(before, after, churned));
+    EXPECT_TRUE(sameFactorsExceptRow(before, after, churned));
 }
 
 TEST(WarmStartTest, WarmStartCanBeDisabled)

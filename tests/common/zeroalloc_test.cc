@@ -162,6 +162,45 @@ TEST(ZeroAlloc, DecisionQuantumIsHeapFreeAfterWarmUp)
         << allocs << " times over " << kMeasured << " quanta";
 }
 
+TEST(ZeroAlloc, ChurnQuantumIsHeapFree)
+{
+    // Job churn resets one row of each engine's cached factors; the
+    // next reconstruction stays warm and re-initializes that row by
+    // fold-in from arena scratch, so a churning quantum must not touch
+    // the heap either. The engines run the scheduler's SVD warm start,
+    // which a whole-cache reset would trigger (on the heap).
+    setInformEnabled(false);
+    QuantumLoop loop;
+    for (CfEngine *e : {&loop.bips, &loop.power})
+        e->options().svdWarmStart = true;
+    // The churned slot is the one run() observes next, so its fresh
+    // row holds one cell and takes the fold-in path.
+    const auto churn = [&loop] {
+        const std::size_t job = loop.quantum % kLiveJobs;
+        loop.bips.clearJob(job);
+        loop.power.clearJob(job);
+    };
+    for (int q = 0; q < 4; ++q) {
+        if (q == 2)
+            churn();
+        loop.run();
+    }
+
+    constexpr int kMeasured = 8;
+    const std::uint64_t before = AllocProbe::newCount();
+    for (int q = 0; q < kMeasured; ++q) {
+        churn();
+        loop.run();
+    }
+    const std::uint64_t allocs = AllocProbe::newCount() - before;
+
+    EXPECT_EQ(allocs, 0u)
+        << "churning decision quantum touched the heap " << allocs
+        << " times over " << kMeasured << " quanta";
+    EXPECT_EQ(loop.bips.lastSvdSweeps(), 0u);
+    EXPECT_EQ(loop.power.lastSvdSweeps(), 0u);
+}
+
 TEST(ZeroAlloc, FleetNodeSteadyStateQuantumIsHeapFree)
 {
     // The cluster gate: a full fleet node — MulticoreSim +
@@ -178,10 +217,10 @@ TEST(ZeroAlloc, FleetNodeSteadyStateQuantumIsHeapFree)
     opts.maxPowerW = 150.0;
     opts.keepSliceRecords = false;
     // Steady state means stable load AND a stable colocation: churn
-    // (CfEngine::clearJob) legitimately triggers a heap-using SVD
-    // cold restart. At constant offered load the default
-    // load-change threshold can still fire off completion-count
-    // noise, so widen it — the gate measures the no-churn quantum.
+    // (CfEngine::clearJob) has its own gate, ChurnQuantumIsHeapFree.
+    // At constant offered load the default load-change threshold can
+    // still fire off completion-count noise, so widen it — the gate
+    // measures the no-churn quantum.
     CuttleSysOptions sched;
     sched.loadChangeThreshold = 1.0;
     // This gate covers the FULL pipeline (reconstruct + DDS) every

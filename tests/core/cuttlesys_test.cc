@@ -14,6 +14,7 @@
 #include "telemetry/trace_reader.hh"
 #include "telemetry/trace_sink.hh"
 #include "core_fixture.hh"
+#include "../cf/factor_checks.hh"
 
 namespace cuttlesys {
 namespace {
@@ -382,14 +383,26 @@ TEST(CuttleSysTest, JobChurnClearsLearnedStateForTheSlot)
     ASSERT_TRUE(sched.bipsEngine().hasCachedFactors());
     ASSERT_TRUE(sched.powerEngine().hasCachedFactors());
 
+    const SgdFactors bips_before = sched.bipsEngine().cachedFactors();
+    const SgdFactors power_before =
+        sched.powerEngine().cachedFactors();
     sched.onJobChurn(slot);
 
-    // The departed job's rows are gone and the cached factors (which
-    // encode them) must not warm-start the replacement's predictions.
+    // The departed job's rows are gone, and so is its latent vector:
+    // the replacement's predictions must not warm-start from it. The
+    // rest of the cache (other rows, all of P) stays warm.
     EXPECT_EQ(sched.bipsEngine().observationsForJob(live), 0u);
     EXPECT_EQ(sched.powerEngine().observationsForJob(live), 0u);
-    EXPECT_FALSE(sched.bipsEngine().hasCachedFactors());
-    EXPECT_FALSE(sched.powerEngine().hasCachedFactors());
+    const auto expect_only_row_reset = [live](const CfEngine &engine,
+                                              const SgdFactors &before) {
+        EXPECT_TRUE(engine.hasCachedFactors());
+        const SgdFactors &after = engine.cachedFactors();
+        const std::size_t row = before.rows - engine.numJobs() + live;
+        EXPECT_TRUE(qRowChanged(before, after, row));
+        EXPECT_TRUE(sameFactorsExceptRow(before, after, row));
+    };
+    expect_only_row_reset(sched.bipsEngine(), bips_before);
+    expect_only_row_reset(sched.powerEngine(), power_before);
 
     // Untouched slots keep their history.
     EXPECT_GT(sched.bipsEngine().observationsForJob(1 + 5), 0u);
