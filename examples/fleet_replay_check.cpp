@@ -133,15 +133,6 @@ runOnce(const SystemParams &params, const TrainingTables &tables,
     return sink.records();
 }
 
-void
-dumpTrace(const std::string &path,
-          const std::vector<telemetry::QuantumRecord> &records)
-{
-    std::ofstream out(path, std::ios::trunc);
-    for (const telemetry::QuantumRecord &r : records)
-        out << telemetry::JsonlSink::toJson(r) << '\n';
-}
-
 } // namespace
 
 int
@@ -207,7 +198,9 @@ main(int argc, char **argv)
                 dag ? ", dag workflows" : "",
                 no_fastpath ? ", fastpath off" : "");
     if (!savePath.empty()) {
-        dumpTrace(savePath, reference);
+        telemetry::JsonlSink out(savePath);
+        for (const telemetry::QuantumRecord &rec : reference)
+            out.record(rec);
         std::printf("saved reference trace to %s\n",
                     savePath.c_str());
     }
@@ -227,8 +220,13 @@ main(int argc, char **argv)
             continue;
         ok = false;
         std::printf("\n%s\n", diff.toString().c_str());
-        dumpTrace("fleet_replay_reference.jsonl", reference);
-        dumpTrace("fleet_replay_divergent.jsonl", replay);
+        telemetry::JsonlSink reference_out(
+            "fleet_replay_reference.jsonl");
+        for (const telemetry::QuantumRecord &rec : reference)
+            reference_out.record(rec);
+        telemetry::JsonlSink replay_out("fleet_replay_divergent.jsonl");
+        for (const telemetry::QuantumRecord &rec : replay)
+            replay_out.record(rec);
         std::ofstream report("fleet_replay_diff.txt",
                              std::ios::trunc);
         report << diff.toString(/*max_lines=*/1000) << '\n';
@@ -251,7 +249,10 @@ main(int argc, char **argv)
         if (!diff.identical()) {
             stale_reference = true;
             std::printf("\n%s\n", diff.toString().c_str());
-            dumpTrace("fleet_replay_reference.jsonl", reference);
+            telemetry::JsonlSink reference_out(
+                "fleet_replay_reference.jsonl");
+            for (const telemetry::QuantumRecord &rec : reference)
+                reference_out.record(rec);
             std::ofstream report("fleet_replay_diff.txt",
                                  std::ios::trunc);
             report << diff.toString(/*max_lines=*/1000) << '\n';

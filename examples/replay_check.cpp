@@ -58,15 +58,6 @@ runOnce(const SystemParams &params, const WorkloadMix &mix,
     return sink.records();
 }
 
-void
-dumpTrace(const std::string &path,
-          const std::vector<telemetry::QuantumRecord> &records)
-{
-    std::ofstream out(path, std::ios::trunc);
-    for (const telemetry::QuantumRecord &r : records)
-        out << telemetry::JsonlSink::toJson(r) << '\n';
-}
-
 } // namespace
 
 int
@@ -115,8 +106,12 @@ main(int argc, char **argv)
 
         ok = false;
         std::printf("\n%s\n", diff.toString().c_str());
-        dumpTrace("replay_reference.jsonl", reference);
-        dumpTrace("replay_divergent.jsonl", replay);
+        telemetry::JsonlSink reference_out("replay_reference.jsonl");
+        for (const telemetry::QuantumRecord &rec : reference)
+            reference_out.record(rec);
+        telemetry::JsonlSink replay_out("replay_divergent.jsonl");
+        for (const telemetry::QuantumRecord &rec : replay)
+            replay_out.record(rec);
         std::ofstream report("replay_diff.txt", std::ios::trunc);
         report << diff.toString(/*max_lines=*/1000) << '\n';
         std::printf("wrote replay_reference.jsonl, "

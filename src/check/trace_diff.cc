@@ -1,154 +1,100 @@
 #include "check/trace_diff.hh"
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+
+#include "telemetry/trace_schema.hh"
 
 namespace cuttlesys {
 namespace check {
 
 namespace {
 
+template <typename T>
 std::string
-formatDouble(double v)
+formatValue(const T &v)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    if constexpr (std::is_same_v<T, bool>) {
+        return v ? "true" : "false";
+    } else if constexpr (std::is_integral_v<T>) {
+        return std::to_string(v);
+    } else if constexpr (std::is_enum_v<T>) {
+        return telemetry::traceName(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        return buf;
+    } else {
+        return std::string(v);
+    }
 }
 
+template <typename T>
 std::string
-formatVector(const std::vector<std::size_t> &v)
+formatValue(const std::vector<T> &v)
 {
     std::string out = "[";
     for (std::size_t i = 0; i < v.size(); ++i) {
         if (i)
             out += ',';
-        out += std::to_string(v[i]);
+        out += formatValue(v[i]);
     }
     out += ']';
     return out;
 }
 
-std::string
-formatVector(const std::vector<std::int32_t> &v)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += ',';
-        out += std::to_string(v[i]);
-    }
-    out += ']';
-    return out;
-}
-
-std::string
-formatVector(const std::vector<std::int64_t> &v)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += ',';
-        out += std::to_string(v[i]);
-    }
-    out += ']';
-    return out;
-}
-
-std::string
-formatVector(const std::vector<double> &v)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += ',';
-        out += formatDouble(v[i]);
-    }
-    out += ']';
-    return out;
-}
-
-/** Accumulates field comparisons for one pair of quanta. */
+/** Compares one pair of quanta field by field along the schema. */
 class RecordDiffer
 {
   public:
-    RecordDiffer(TraceDiff &diff, std::size_t slice)
-        : diff_(diff), slice_(slice)
+    RecordDiffer(TraceDiff &diff, const telemetry::QuantumRecord &a,
+                 const telemetry::QuantumRecord &b)
+        : diff_(diff), a_(a), b_(b)
     {
     }
 
-    void cmp(const char *field, double a, double b)
+    // Exact: both values took the same code path through the same
+    // deterministic simulator, so any difference is real.
+    template <typename T, telemetry::Replay R>
+    void operator()(const telemetry::TraceGroup &group, const char *key,
+                    T telemetry::QuantumRecord::*member,
+                    telemetry::ReplayPolicy<R>)
     {
-        // Exact: both values took the same code path through the same
-        // deterministic simulator, so any difference is real.
-        note(field, a == b, formatDouble(a), formatDouble(b));
-    }
-
-    void cmp(const char *field, std::size_t a, std::size_t b)
-    {
-        note(field, a == b, std::to_string(a), std::to_string(b));
-    }
-
-    void cmp(const char *field, int a, int b)
-    {
-        note(field, a == b, std::to_string(a), std::to_string(b));
-    }
-
-    void cmp(const char *field, bool a, bool b)
-    {
-        note(field, a == b, a ? "true" : "false",
-             b ? "true" : "false");
-    }
-
-    void cmp(const char *field, const std::string &a,
-             const std::string &b)
-    {
-        note(field, a == b, a, b);
-    }
-
-    void cmp(const char *field, const std::vector<std::size_t> &a,
-             const std::vector<std::size_t> &b)
-    {
-        note(field, a == b, formatVector(a), formatVector(b));
-    }
-
-    void cmp(const char *field, const std::vector<std::int32_t> &a,
-             const std::vector<std::int32_t> &b)
-    {
-        note(field, a == b, formatVector(a), formatVector(b));
-    }
-
-    void cmp(const char *field, const std::vector<std::int64_t> &a,
-             const std::vector<std::int64_t> &b)
-    {
-        note(field, a == b, formatVector(a), formatVector(b));
-    }
-
-    void cmp(const char *field, const std::vector<double> &a,
-             const std::vector<double> &b)
-    {
-        note(field, a == b, formatVector(a), formatVector(b));
+        if constexpr (R == telemetry::Replay::Exact)
+            compare(group, key, "", a_.*member, b_.*member);
+        else if constexpr (R == telemetry::Replay::Class)
+            compare(group, key, "_class",
+                    std::string_view(lcPathClass(a_.*member)),
+                    std::string_view(lcPathClass(b_.*member)));
     }
 
   private:
-    void note(const char *field, bool equal, std::string lhs,
-              std::string rhs)
+    template <typename T>
+    void compare(const telemetry::TraceGroup &group, const char *key,
+                 const char *suffix, const T &a, const T &b)
     {
         ++diff_.comparedFields;
-        if (equal)
+        if (a == b)
             return;
         FieldMismatch m;
-        m.slice = slice_;
-        m.field = field;
-        m.lhs = std::move(lhs);
-        m.rhs = std::move(rhs);
+        m.slice = a_.slice;
+        if (group.name) {
+            m.field = group.name;
+            m.field += '.';
+        }
+        m.field += key;
+        m.field += suffix;
+        m.lhs = formatValue(a);
+        m.rhs = formatValue(b);
         diff_.mismatches.push_back(std::move(m));
     }
 
     TraceDiff &diff_;
-    std::size_t slice_;
+    const telemetry::QuantumRecord &a_;
+    const telemetry::QuantumRecord &b_;
 };
 
 } // namespace
@@ -157,22 +103,13 @@ const char *
 lcPathClass(telemetry::LcPath path)
 {
     switch (path) {
-      case telemetry::LcPath::None:
-        return "none";
-      case telemetry::LcPath::ColdStart:
-        return "cold-start";
-      case telemetry::LcPath::ViolationEscalate:
-        return "violation-escalate";
-      case telemetry::LcPath::ViolationRelocate:
-        return "violation-relocate";
       case telemetry::LcPath::CfFeasible:
       case telemetry::LcPath::QueueFeasible:
       case telemetry::LcPath::NoFeasible:
         return "scan";
-      case telemetry::LcPath::StaticPolicy:
-        return "static";
+      default:
+        return telemetry::lcPathName(path);
     }
-    return "?";
 }
 
 TraceDiff
@@ -184,98 +121,8 @@ diffDecisionTraces(const std::vector<telemetry::QuantumRecord> &a,
     diff.recordsB = b.size();
 
     const std::size_t n = std::min(a.size(), b.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        const telemetry::QuantumRecord &ra = a[i];
-        const telemetry::QuantumRecord &rb = b[i];
-        RecordDiffer d(diff, ra.slice);
-
-        // Identity and offered conditions. The node stamp matters in
-        // fleet replays: two traces can agree on every per-slice
-        // decision yet disagree about which node executed it, which
-        // is a placement divergence, not a clean replay.
-        d.cmp("node", ra.node, rb.node);
-        d.cmp("slice", ra.slice, rb.slice);
-        d.cmp("t", ra.timeSec, rb.timeSec);
-        d.cmp("sched", ra.scheduler, rb.scheduler);
-        d.cmp("load", ra.loadFraction, rb.loadFraction);
-        d.cmp("budget_w", ra.powerBudgetW, rb.powerBudgetW);
-        d.cmp("profiled_lc_cores", ra.profiledLcCores,
-              rb.profiledLcCores);
-
-        // Previous slice's feedback: deterministic when every prior
-        // decision matched.
-        d.cmp("measured.tail", ra.measuredTailSec, rb.measuredTailSec);
-        d.cmp("measured.util", ra.measuredUtil, rb.measuredUtil);
-        d.cmp("measured.completed", ra.measuredCompleted,
-              rb.measuredCompleted);
-        d.cmp("measured.violation", ra.measuredViolation,
-              rb.measuredViolation);
-        d.cmp("measured.tail_observed", ra.tailObserved,
-              rb.tailObserved);
-        d.cmp("measured.polluted", ra.pollutedSlice, rb.pollutedSlice);
-
-        // The LC decision proper.
-        d.cmp("lc.path_class", std::string(lcPathClass(ra.lcPath)),
-              std::string(lcPathClass(rb.lcPath)));
-        d.cmp("lc.config_index", ra.lcConfigIndex, rb.lcConfigIndex);
-        d.cmp("lc.config", ra.lcConfigName, rb.lcConfigName);
-        d.cmp("lc.cores", ra.lcCores, rb.lcCores);
-        d.cmp("lc.core_delta", ra.lcCoreDelta, rb.lcCoreDelta);
-
-        // Cap enforcement's structural outcome.
-        d.cmp("enforce.victims", ra.capVictims, rb.capVictims);
-        d.cmp("enforce.reclaimed_ways", ra.reclaimedWays,
-              rb.reclaimedWays);
-
-        // Executed slice: pure function of the decision sequence.
-        d.cmp("executed.tail", ra.executedTailSec, rb.executedTailSec);
-        d.cmp("executed.power_w", ra.executedPowerW,
-              rb.executedPowerW);
-        d.cmp("executed.qos_violated", ra.qosViolated, rb.qosViolated);
-        d.cmp("executed.gmean_bips", ra.gmeanBips, rb.gmeanBips);
-
-        // The stability gate's routing. The path taken (and why the
-        // gate forced a full quantum) must replay bitwise: a trace
-        // that reuses where the reference re-searched diverged even
-        // when both landed on the same schedule.
-        d.cmp("decision.path",
-              std::string(telemetry::decisionPathName(ra.decisionPath)),
-              std::string(
-                  telemetry::decisionPathName(rb.decisionPath)));
-        d.cmp("decision.invalidation",
-              std::string(telemetry::invalidationReasonName(
-                  ra.invalidationReason)),
-              std::string(telemetry::invalidationReasonName(
-                  rb.invalidationReason)));
-        d.cmp("decision.since_full", ra.quantaSinceFull,
-              rb.quantaSinceFull);
-
-        // Tenancy: who held each slot and who was evicted are part of
-        // the deterministic decision sequence under fair-share
-        // ordering, so replay must reproduce them bitwise too.
-        d.cmp("tenancy.accounts", ra.slotAccounts, rb.slotAccounts);
-        d.cmp("tenancy.bips", ra.slotBips, rb.slotBips);
-        d.cmp("tenancy.cores", ra.slotCores, rb.slotCores);
-        d.cmp("tenancy.preempted", ra.preemptedAccounts,
-              rb.preemptedAccounts);
-
-        // DAG workflows: which instance/task held each slot, the
-        // artifact-cache outcome of this quantum's placements, and
-        // which workflows finished — all products of the deterministic
-        // completion/release/placement order, so replay must match.
-        d.cmp("dag.workflows", ra.slotWorkflows, rb.slotWorkflows);
-        d.cmp("dag.tasks", ra.slotDagTasks, rb.slotDagTasks);
-        d.cmp("dag.hits", ra.artifactHits, rb.artifactHits);
-        d.cmp("dag.misses", ra.artifactMisses, rb.artifactMisses);
-        d.cmp("dag.transfer_bytes", ra.transferBytes,
-              rb.transferBytes);
-        d.cmp("dag.done", ra.completedWorkflows,
-              rb.completedWorkflows);
-        d.cmp("dag.done_accounts", ra.completedAccounts,
-              rb.completedAccounts);
-        d.cmp("dag.done_makespans", ra.completedMakespans,
-              rb.completedMakespans);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        telemetry::forEachTraceField(RecordDiffer(diff, a[i], b[i]));
     return diff;
 }
 

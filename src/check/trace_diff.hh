@@ -8,10 +8,11 @@
  * re-runs a colocation with an identical seed and compares only the
  * decision-structural fields of the two traces — chosen
  * configurations, core counts, gating victims, and the (deterministic
- * given identical decisions) executed outcomes. Any mismatch means
- * thread-schedule nondeterminism leaked into the scheduling pipeline,
- * e.g. a racy parallel reconstruction whose float noise flips a
- * search argmax.
+ * given identical decisions) executed outcomes; trace_schema.hh marks
+ * which fields those are (Replay::Exact / Replay::Class). Any
+ * mismatch means thread-schedule nondeterminism leaked into the
+ * scheduling pipeline, e.g. a racy parallel reconstruction whose
+ * float noise flips a search argmax.
  */
 
 #ifndef CUTTLESYS_CHECK_TRACE_DIFF_HH

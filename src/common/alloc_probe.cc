@@ -57,7 +57,7 @@ deleteCount()
 /*
  * Global allocation function replacements ([new.delete.single] allows
  * a program to define these). All throwing/nothrow/aligned/sized
- * forms route through the two counters above. lint.sh exempts
+ * forms route through the two counters above. cslint exempts
  * `operator new/delete` definitions from the naked-new rule.
  */
 

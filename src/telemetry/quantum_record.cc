@@ -1,98 +1,97 @@
 #include "telemetry/quantum_record.hh"
 
+#include <iterator>
+
 namespace cuttlesys {
 namespace telemetry {
+
+namespace {
+
+// Printable names, indexed by enumerator value.
+const char *const kLcPathNames[] = {
+    "none", "cold-start", "violation-escalate", "violation-relocate",
+    "cf", "queue-estimate", "no-feasible", "static",
+};
+const char *const kDecisionPathNames[] = {
+    "none", "full", "fast-reuse", "memo-seeded",
+};
+const char *const kInvalidationReasonNames[] = {
+    "none", "cold", "refresh", "churn", "load-drift", "tail-floor",
+    "lc-slack", "budget-shift", "revalidate",
+};
+const char *const kPhaseNames[] = {
+    "profile", "ingest", "reconstruct", "search", "enforce", "execute",
+};
+
+static_assert(std::size(kLcPathNames) == kNumLcPaths);
+static_assert(std::size(kDecisionPathNames) == kNumDecisionPaths);
+static_assert(std::size(kInvalidationReasonNames) ==
+              kNumInvalidationReasons);
+static_assert(std::size(kPhaseNames) == kNumPhases);
+
+/** names[value], or "?" for an out-of-range value. */
+template <typename E, std::size_t N>
+const char *
+nameOf(const char *const (&names)[N], E value)
+{
+    const auto i = static_cast<std::size_t>(value);
+    return i < N ? names[i] : "?";
+}
+
+/** The enumerator named @p name; value 0 (None) when unknown. */
+template <typename E, std::size_t N>
+E
+valueOf(const char *const (&names)[N], std::string_view name)
+{
+    for (std::size_t i = 0; i < N; ++i) {
+        if (name == names[i])
+            return static_cast<E>(i);
+    }
+    return E{};
+}
+
+} // namespace
 
 const char *
 lcPathName(LcPath path)
 {
-    switch (path) {
-      case LcPath::None:              return "none";
-      case LcPath::ColdStart:         return "cold-start";
-      case LcPath::ViolationEscalate: return "violation-escalate";
-      case LcPath::ViolationRelocate: return "violation-relocate";
-      case LcPath::CfFeasible:        return "cf";
-      case LcPath::QueueFeasible:     return "queue-estimate";
-      case LcPath::NoFeasible:        return "no-feasible";
-      case LcPath::StaticPolicy:      return "static";
-    }
-    return "?";
+    return nameOf(kLcPathNames, path);
 }
 
 LcPath
 lcPathFromName(std::string_view name)
 {
-    for (std::size_t i = 0; i < kNumLcPaths; ++i) {
-        const LcPath path = static_cast<LcPath>(i);
-        if (name == lcPathName(path))
-            return path;
-    }
-    return LcPath::None;
+    return valueOf<LcPath>(kLcPathNames, name);
 }
 
 const char *
 decisionPathName(DecisionPath path)
 {
-    switch (path) {
-      case DecisionPath::None:       return "none";
-      case DecisionPath::Full:       return "full";
-      case DecisionPath::FastReuse:  return "fast-reuse";
-      case DecisionPath::MemoSeeded: return "memo-seeded";
-    }
-    return "?";
+    return nameOf(kDecisionPathNames, path);
 }
 
 DecisionPath
 decisionPathFromName(std::string_view name)
 {
-    for (std::size_t i = 0; i < kNumDecisionPaths; ++i) {
-        const DecisionPath path = static_cast<DecisionPath>(i);
-        if (name == decisionPathName(path))
-            return path;
-    }
-    return DecisionPath::None;
+    return valueOf<DecisionPath>(kDecisionPathNames, name);
 }
 
 const char *
 invalidationReasonName(InvalidationReason reason)
 {
-    switch (reason) {
-      case InvalidationReason::None:        return "none";
-      case InvalidationReason::Cold:        return "cold";
-      case InvalidationReason::Refresh:     return "refresh";
-      case InvalidationReason::Churn:       return "churn";
-      case InvalidationReason::LoadDrift:   return "load-drift";
-      case InvalidationReason::TailFloor:   return "tail-floor";
-      case InvalidationReason::LcSlack:     return "lc-slack";
-      case InvalidationReason::BudgetShift: return "budget-shift";
-      case InvalidationReason::Revalidate:  return "revalidate";
-    }
-    return "?";
+    return nameOf(kInvalidationReasonNames, reason);
 }
 
 InvalidationReason
 invalidationReasonFromName(std::string_view name)
 {
-    for (std::size_t i = 0; i < kNumInvalidationReasons; ++i) {
-        const InvalidationReason r = static_cast<InvalidationReason>(i);
-        if (name == invalidationReasonName(r))
-            return r;
-    }
-    return InvalidationReason::None;
+    return valueOf<InvalidationReason>(kInvalidationReasonNames, name);
 }
 
 const char *
 phaseName(Phase phase)
 {
-    switch (phase) {
-      case Phase::Profile:     return "profile";
-      case Phase::Ingest:      return "ingest";
-      case Phase::Reconstruct: return "reconstruct";
-      case Phase::Search:      return "search";
-      case Phase::Enforce:     return "enforce";
-      case Phase::Execute:     return "execute";
-    }
-    return "?";
+    return nameOf(kPhaseNames, phase);
 }
 
 } // namespace telemetry

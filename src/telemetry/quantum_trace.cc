@@ -36,40 +36,6 @@ QuantumTrace::end()
             summary_.phaseSec[p].add(rec.phaseSec[p]);
     }
 
-    registry_.counter("quantum.records").add();
-    registry_.counter(std::string("lc.path.") + lcPathName(rec.lcPath))
-        .add();
-    if (!rec.capVictims.empty()) {
-        registry_.counter("enforce.gated_slices").add();
-        registry_.stat("enforce.victims")
-            .add(static_cast<double>(rec.capVictims.size()));
-        registry_.stat("enforce.reclaimed_ways").add(rec.reclaimedWays);
-    }
-    if (rec.decisionPath != DecisionPath::None) {
-        registry_
-            .counter(std::string("decision.path.") +
-                     decisionPathName(rec.decisionPath))
-            .add();
-        if (rec.invalidationReason != InvalidationReason::None) {
-            registry_
-                .counter(std::string("decision.invalidation.") +
-                         invalidationReasonName(rec.invalidationReason))
-                .add();
-        }
-    }
-    if (rec.searchEvaluations > 0) {
-        registry_.stat("search.evaluations")
-            .add(static_cast<double>(rec.searchEvaluations));
-        registry_.stat("search.objective").add(rec.searchObjective);
-    }
-    for (std::size_t p = 0; p < kNumPhases; ++p) {
-        if (rec.phaseSec[p] > 0.0) {
-            registry_.stat(std::string("phase_ms.") +
-                           phaseName(static_cast<Phase>(p)))
-                .add(rec.phaseSec[p] * 1e3);
-        }
-    }
-
     if (sink_)
         sink_->record(rec);
 }

@@ -7,7 +7,7 @@
  * begin(), both sides fill the current record (the scheduler its
  * decision internals, the driver the offered conditions and the
  * executed slice's outcome), and end() emits the record to the
- * attached sink and folds it into the run summary and the registry.
+ * attached sink and folds it into the run summary.
  *
  * Overhead contract: with no trace attached the scheduler performs a
  * single null check per site; with a trace attached but no sink, the
@@ -23,8 +23,8 @@
 #include <chrono>
 #include <cstddef>
 
+#include "common/stats.hh"
 #include "telemetry/quantum_record.hh"
-#include "telemetry/stats_registry.hh"
 #include "telemetry/trace_sink.hh"
 
 namespace cuttlesys {
@@ -92,18 +92,15 @@ class QuantumTrace
         current_.phaseSec[static_cast<std::size_t>(phase)] += seconds;
     }
 
-    /** Emit the current record and fold it into the aggregates. */
+    /** Emit the current record and fold it into the summary. */
     void end();
 
     const RunSummary &summary() const { return summary_; }
-    StatsRegistry &registry() { return registry_; }
-    const StatsRegistry &registry() const { return registry_; }
 
   private:
     TraceSink *sink_;
     QuantumRecord current_;
     RunSummary summary_;
-    StatsRegistry registry_;
 };
 
 /**

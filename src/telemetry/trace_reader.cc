@@ -1,91 +1,38 @@
 #include "telemetry/trace_reader.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
-#include <sstream>
-#include <variant>
+#include <limits>
+#include <ostream>
+#include <type_traits>
 
 #include "common/logging.hh"
+#include "telemetry/trace_schema.hh"
 
 namespace cuttlesys {
 namespace telemetry {
 
 namespace {
 
-/** A parsed JSON value (the subset the sink emits). */
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
+/** Deepest object/array nesting a line may use; the sink writes 3. */
+constexpr std::size_t kMaxDepth = 32;
 
-struct JsonValue
-{
-    std::variant<std::nullptr_t, bool, double, std::string,
-                 std::shared_ptr<JsonArray>,
-                 std::shared_ptr<JsonObject>>
-        v = nullptr;
-
-    bool asBool(bool fallback = false) const
-    {
-        if (const bool *b = std::get_if<bool>(&v))
-            return *b;
-        return fallback;
-    }
-    double asNumber(double fallback = 0.0) const
-    {
-        if (const double *d = std::get_if<double>(&v))
-            return *d;
-        return fallback;
-    }
-    std::string asString() const
-    {
-        if (const std::string *s = std::get_if<std::string>(&v))
-            return *s;
-        return {};
-    }
-    const JsonObject *asObject() const
-    {
-        if (const auto *o =
-                std::get_if<std::shared_ptr<JsonObject>>(&v))
-            return o->get();
-        return nullptr;
-    }
-    const JsonArray *asArray() const
-    {
-        if (const auto *a = std::get_if<std::shared_ptr<JsonArray>>(&v))
-            return a->get();
-        return nullptr;
-    }
-};
-
-/** Recursive-descent parser over a single line. */
+/**
+ * Single-pass recursive-descent parser over one line, for the JSON
+ * subset the sink emits. The record reader pulls typed values out of
+ * it and skip()s the rest, so every byte is still syntax-checked.
+ */
 class Parser
 {
   public:
     explicit Parser(std::string_view text) : text_(text) {}
 
-    JsonValue parse()
-    {
-        const JsonValue value = parseValue();
-        skipSpace();
-        if (pos_ != text_.size())
-            fail("trailing characters");
-        return value;
-    }
-
-  private:
     [[noreturn]] void fail(const char *what) const
     {
         fatal("trace parse error at byte ", pos_, ": ", what);
-    }
-
-    void skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
     }
 
     char peek()
@@ -96,86 +43,46 @@ class Parser
         return text_[pos_];
     }
 
-    void expect(char ch)
+    /** Whether the next value is a number (anything but {["tfn). */
+    bool atNumber() { return !std::strchr("{[\"tfn", peek()); }
+
+    void finish()
     {
-        if (peek() != ch)
-            fail("unexpected character");
-        ++pos_;
+        skipSpace();
+        if (pos_ != text_.size())
+            fail("trailing characters");
     }
 
-    bool consumeLiteral(std::string_view lit)
+    /** Call member(key) per object member; it consumes the value. */
+    template <typename F>
+    void object(F &&member)
     {
-        if (text_.substr(pos_, lit.size()) != lit)
-            return false;
-        pos_ += lit.size();
-        return true;
-    }
-
-    JsonValue parseValue()
-    {
-        switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return JsonValue{parseString()};
-          case 't':
-            if (!consumeLiteral("true"))
-                fail("bad literal");
-            return JsonValue{true};
-          case 'f':
-            if (!consumeLiteral("false"))
-                fail("bad literal");
-            return JsonValue{false};
-          case 'n':
-            if (!consumeLiteral("null"))
-                fail("bad literal");
-            return JsonValue{nullptr};
-          default: return parseNumber();
-        }
-    }
-
-    JsonValue parseObject()
-    {
-        expect('{');
-        auto obj = std::make_shared<JsonObject>();
-        if (peek() == '}') {
-            ++pos_;
-            return JsonValue{std::move(obj)};
-        }
-        while (true) {
+        list('{', '}', [&] {
             if (peek() != '"')
                 fail("expected key string");
-            std::string key = parseString();
+            const std::string key = string();
             expect(':');
-            (*obj)[std::move(key)] = parseValue();
-            const char next = peek();
-            ++pos_;
-            if (next == '}')
-                return JsonValue{std::move(obj)};
-            if (next != ',')
-                fail("expected ',' or '}'");
-        }
+            member(std::string_view(key));
+        });
     }
 
-    JsonValue parseArray()
+    /** Call item() per array item; it consumes the item. */
+    template <typename F>
+    void array(F &&item)
     {
-        expect('[');
-        auto arr = std::make_shared<JsonArray>();
-        if (peek() == ']') {
-            ++pos_;
-            return JsonValue{std::move(arr)};
-        }
-        while (true) {
-            arr->push_back(parseValue());
-            const char next = peek();
-            ++pos_;
-            if (next == ']')
-                return JsonValue{std::move(arr)};
-            if (next != ',')
-                fail("expected ',' or ']'");
-        }
+        list('[', ']', item);
     }
 
-    std::string parseString()
+    bool boolean()
+    {
+        if (literal("true"))
+            return true;
+        if (!literal("false"))
+            fail("bad literal");
+        return false;
+    }
+
+    std::string string()
     {
         expect('"');
         std::string out;
@@ -218,15 +125,12 @@ class Parser
         }
     }
 
-    JsonValue parseNumber()
+    double number()
     {
         skipSpace();
         const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
+        while (pos_ < text_.size() && text_[pos_] != '\0' &&
+               std::strchr("0123456789+-.eE", text_[pos_]))
             ++pos_;
         if (pos_ == start)
             fail("expected number");
@@ -235,40 +139,229 @@ class Parser
         const double value = std::strtod(tok.c_str(), &end);
         if (end != tok.c_str() + tok.size())
             fail("malformed number");
-        return JsonValue{value};
+        return value;
+    }
+
+    /** Consume one value of any kind. */
+    void skip()
+    {
+        switch (peek()) {
+          case '{': object([this](std::string_view) { skip(); }); break;
+          case '[': array([this] { skip(); }); break;
+          case '"': string(); break;
+          case 't':
+          case 'f': boolean(); break;
+          case 'n':
+            if (!literal("null"))
+                fail("bad literal");
+            break;
+          default: number();
+        }
+    }
+
+  private:
+    void skipSpace()
+    {
+        while (pos_ < text_.size() &&
+               std::isspace(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+    }
+
+    void expect(char ch)
+    {
+        if (peek() != ch)
+            fail("unexpected character");
+        ++pos_;
+    }
+
+    /** Parse open, item() per comma-separated entry, close. */
+    template <typename F>
+    void list(char open, char close, F &&item)
+    {
+        expect(open);
+        // Bounded recursion: a hostile line of nested brackets must
+        // fail cleanly, not overflow the stack.
+        if (++depth_ > kMaxDepth)
+            fail("nesting too deep");
+        bool more = peek() != close;
+        if (!more)
+            ++pos_;
+        while (more) {
+            item();
+            const char next = peek();
+            ++pos_;
+            more = next == ',';
+            if (!more && next != close)
+                fail(close == '}' ? "expected ',' or '}'"
+                                  : "expected ',' or ']'");
+        }
+        --depth_;
+    }
+
+    bool literal(std::string_view lit)
+    {
+        skipSpace();
+        if (text_.substr(pos_, lit.size()) != lit)
+            return false;
+        pos_ += lit.size();
+        return true;
     }
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;
 };
 
-const JsonValue &
-field(const JsonObject &obj, const std::string &key)
+/** "group.key", for error messages. */
+struct FieldName
 {
-    static const JsonValue missing;
-    const auto it = obj.find(key);
-    return it == obj.end() ? missing : it->second;
-}
+    const TraceGroup &group;
+    const char *key;
+};
 
-std::size_t
-asIndex(const JsonValue &v)
+std::ostream &
+operator<<(std::ostream &os, const FieldName &name)
 {
-    const double d = v.asNumber();
-    return d > 0.0 ? static_cast<std::size_t>(d + 0.5) : 0;
+    if (name.group.name)
+        os << name.group.name << '.';
+    return os << name.key;
 }
 
 /**
- * Tail latency in seconds. Current traces store raw seconds
- * ("tail_s", bit-exact for replay comparison); older traces stored
- * milliseconds, which reconvert with up to one ulp of error.
+ * A JSON number as integer type T: unsigned fields round and clamp
+ * negatives to 0, signed fields truncate. A value T cannot hold is a
+ * corrupt trace, not something to wrap or saturate.
  */
-double
-tailSeconds(const JsonObject &obj)
+template <typename T>
+T
+toInteger(double d, const FieldName &name)
 {
-    const auto it = obj.find("tail_s");
-    if (it != obj.end())
-        return it->second.asNumber();
-    return field(obj, "tail_ms").asNumber() * 1e-3;
+    const double bound = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double v = std::is_unsigned_v<T> ? (d > 0.0 ? d + 0.5 : 0.0)
+                                           : std::trunc(d);
+    if (!std::isfinite(d) || v >= bound || v < -bound)
+        fatal("trace field '", name, "': ", d, " does not fit its type");
+    return static_cast<T>(v);
+}
+
+/** Read one value; one of the wrong JSON kind is skipped and leaves
+ *  @p out as it was. */
+template <typename T>
+void
+read(Parser &p, T &out, const FieldName &name)
+{
+    const char next = p.peek();
+    if constexpr (std::is_same_v<T, bool>) {
+        if (next == 't' || next == 'f') {
+            out = p.boolean();
+            return;
+        }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        if (next == '"') {
+            out = p.string();
+            return;
+        }
+    } else if constexpr (std::is_enum_v<T>) {
+        if (next == '"') {
+            fromTraceName(p.string(), out);
+            return;
+        }
+    } else if (p.atNumber()) {
+        const double d = p.number();
+        if constexpr (std::is_integral_v<T>)
+            out = toInteger<T>(d, name);
+        else
+            out = d;
+        return;
+    }
+    p.skip();
+}
+
+template <typename T>
+void
+read(Parser &p, std::vector<T> &out, const FieldName &name)
+{
+    if (p.peek() != '[') {
+        p.skip();
+        return;
+    }
+    out.clear();
+    p.array([&] {
+        // Signed slot maps use -1 for "none", which is also what an
+        // item of the wrong kind reads as.
+        T value{};
+        if constexpr (std::is_integral_v<T> && std::is_signed_v<T>)
+            value = -1;
+        read(p, value, name);
+        out.push_back(std::move(value));
+    });
+}
+
+/** Phase timers arrive in ms, keyed by phase name; a missing phase
+ *  reads as 0. */
+void
+read(Parser &p, std::array<double, kNumPhases> &sec,
+     const FieldName &name)
+{
+    if (p.peek() != '{') {
+        p.skip();
+        return;
+    }
+    sec.fill(0.0);
+    p.object([&](std::string_view key) {
+        for (std::size_t i = 0; i < kNumPhases; ++i) {
+            if (key == phaseName(static_cast<Phase>(i))) {
+                double ms = 0.0;
+                read(p, ms, name);
+                sec[i] = ms * 1e-3;
+                return;
+            }
+        }
+        p.skip();
+    });
+}
+
+/**
+ * Read member @p key of @p group's object (nullptr: the top level)
+ * into its schema field; a key the schema does not know is skipped.
+ */
+void
+readMember(Parser &p, QuantumRecord &rec, const TraceGroup *group,
+           std::string_view key)
+{
+    const TraceGroup *nested = nullptr;
+    bool done = false;
+    forEachTraceField([&]<typename T, typename Policy>(
+                          const TraceGroup &g, const char *k,
+                          T QuantumRecord::*field, Policy) {
+        if (!group && g.name && key == g.name)
+            nested = &g;
+        if (done || (group ? &g != group : g.name != nullptr))
+            return;
+        if (key == k) {
+            read(p, rec.*field, FieldName{g, k});
+            done = true;
+        } else if constexpr (std::is_same_v<T, double>) {
+            // The pre-seconds spelling "<stem>_ms" of "<stem>_s".
+            const std::string_view sec(k);
+            if (sec.ends_with("_s") &&
+                key.starts_with(sec.substr(0, sec.size() - 1)) &&
+                key.substr(sec.size() - 1) == "ms") {
+                double ms = 0.0;
+                read(p, ms, FieldName{g, k});
+                rec.*field = ms * 1e-3;
+                done = true;
+            }
+        }
+    });
+    if (done)
+        return;
+    if (nested && p.peek() == '{')
+        p.object([&](std::string_view k) {
+            readMember(p, rec, nested, k);
+        });
+    else
+        p.skip();
 }
 
 } // namespace
@@ -277,147 +370,13 @@ QuantumRecord
 parseRecord(std::string_view line)
 {
     Parser parser(line);
-    const JsonValue root = parser.parse();
-    const JsonObject *top = root.asObject();
-    if (!top)
+    if (parser.peek() != '{')
         fatal("trace line is not a JSON object");
-
     QuantumRecord rec;
-    rec.slice = asIndex(field(*top, "slice"));
-    rec.node = asIndex(field(*top, "node"));
-    rec.timeSec = field(*top, "t").asNumber();
-    rec.scheduler = field(*top, "sched").asString();
-    rec.loadFraction = field(*top, "load").asNumber(-1.0);
-    rec.powerBudgetW = field(*top, "budget_w").asNumber();
-    rec.profiledLcCores = asIndex(field(*top, "profiled_lc_cores"));
-
-    if (const JsonObject *m = field(*top, "measured").asObject()) {
-        rec.measuredTailSec = tailSeconds(*m);
-        rec.measuredUtil = field(*m, "util").asNumber(-1.0);
-        rec.measuredCompleted = asIndex(field(*m, "completed"));
-        rec.measuredViolation = field(*m, "violation").asBool();
-        rec.tailObserved = field(*m, "tail_observed").asBool();
-        rec.pollutedSlice = field(*m, "polluted").asBool();
-    }
-
-    if (const JsonObject *lc = field(*top, "lc").asObject()) {
-        rec.lcPath = lcPathFromName(field(*lc, "path").asString());
-        rec.lcConfigName = field(*lc, "config").asString();
-        rec.lcConfigIndex = asIndex(field(*lc, "config_index"));
-        rec.lcCores = asIndex(field(*lc, "cores"));
-        rec.lcCoreDelta =
-            static_cast<int>(field(*lc, "core_delta").asNumber());
-        rec.scanSaturated = asIndex(field(*lc, "scan_saturated"));
-        rec.chosenCfFeasible = field(*lc, "cf_feasible").asBool();
-        rec.chosenQueueFeasible =
-            field(*lc, "queue_feasible").asBool();
-    }
-
-    if (const JsonObject *s = field(*top, "search").asObject()) {
-        rec.batchPowerBudgetW = field(*s, "budget_w").asNumber();
-        rec.cacheBudgetWays = field(*s, "budget_ways").asNumber();
-        rec.seedWays = field(*s, "seed_ways").asNumber();
-        rec.seedRepaired = field(*s, "seed_repaired").asBool();
-        rec.searchEvaluations = asIndex(field(*s, "evaluations"));
-        rec.searchObjective = field(*s, "objective").asNumber();
-        rec.searchPowerW = field(*s, "power_w").asNumber();
-        rec.searchWays = field(*s, "ways").asNumber();
-        rec.searchRepairedWays =
-            field(*s, "repaired_ways").asNumber();
-    }
-
-    if (const JsonObject *e = field(*top, "enforce").asObject()) {
-        if (const JsonArray *victims = field(*e, "victims").asArray()) {
-            for (const JsonValue &v : *victims)
-                rec.capVictims.push_back(asIndex(v));
-        }
-        rec.reclaimedWays = field(*e, "reclaimed_ways").asNumber();
-        rec.enforcedPowerW = field(*e, "power_w").asNumber(-1.0);
-    }
-
-    if (const JsonObject *c = field(*top, "check").asObject()) {
-        if (const JsonArray *vs = field(*c, "violations").asArray()) {
-            for (const JsonValue &v : *vs)
-                rec.invariantViolations.push_back(v.asString());
-        }
-    }
-
-    if (const JsonObject *x = field(*top, "executed").asObject()) {
-        rec.executedTailSec = tailSeconds(*x);
-        rec.executedPowerW = field(*x, "power_w").asNumber(-1.0);
-        rec.qosViolated = field(*x, "qos_violated").asBool();
-        rec.gmeanBips = field(*x, "gmean_bips").asNumber();
-    }
-
-    if (const JsonObject *dg = field(*top, "decision").asObject()) {
-        rec.decisionPath =
-            decisionPathFromName(field(*dg, "path").asString());
-        rec.invalidationReason = invalidationReasonFromName(
-            field(*dg, "invalidation").asString());
-        rec.quantaSinceFull = static_cast<std::size_t>(
-            field(*dg, "since_full").asNumber());
-    }
-
-    if (const JsonObject *tn = field(*top, "tenancy").asObject()) {
-        if (const JsonArray *a = field(*tn, "accounts").asArray()) {
-            for (const JsonValue &v : *a)
-                rec.slotAccounts.push_back(
-                    static_cast<std::int32_t>(v.asNumber(-1.0)));
-        }
-        if (const JsonArray *a = field(*tn, "bips").asArray()) {
-            for (const JsonValue &v : *a)
-                rec.slotBips.push_back(v.asNumber());
-        }
-        if (const JsonArray *a = field(*tn, "cores").asArray()) {
-            for (const JsonValue &v : *a)
-                rec.slotCores.push_back(v.asNumber());
-        }
-        if (const JsonArray *a = field(*tn, "preempted").asArray()) {
-            for (const JsonValue &v : *a)
-                rec.preemptedAccounts.push_back(
-                    static_cast<std::int32_t>(v.asNumber(-1.0)));
-        }
-    }
-
-    if (const JsonObject *dg = field(*top, "dag").asObject()) {
-        if (const JsonArray *a = field(*dg, "workflows").asArray()) {
-            for (const JsonValue &v : *a)
-                rec.slotWorkflows.push_back(
-                    static_cast<std::int64_t>(v.asNumber(-1.0)));
-        }
-        if (const JsonArray *a = field(*dg, "tasks").asArray()) {
-            for (const JsonValue &v : *a)
-                rec.slotDagTasks.push_back(
-                    static_cast<std::int32_t>(v.asNumber(-1.0)));
-        }
-        rec.artifactHits = asIndex(field(*dg, "hits"));
-        rec.artifactMisses = asIndex(field(*dg, "misses"));
-        rec.transferBytes = field(*dg, "transfer_bytes").asNumber();
-        if (const JsonArray *a = field(*dg, "done").asArray()) {
-            for (const JsonValue &v : *a)
-                rec.completedWorkflows.push_back(
-                    static_cast<std::int64_t>(v.asNumber(-1.0)));
-        }
-        if (const JsonArray *a = field(*dg, "done_accounts").asArray()) {
-            for (const JsonValue &v : *a)
-                rec.completedAccounts.push_back(
-                    static_cast<std::int32_t>(v.asNumber(-1.0)));
-        }
-        if (const JsonArray *a =
-                field(*dg, "done_makespans").asArray()) {
-            for (const JsonValue &v : *a)
-                rec.completedMakespans.push_back(
-                    static_cast<std::int64_t>(v.asNumber(-1.0)));
-        }
-    }
-
-    if (const JsonObject *ph = field(*top, "phase_ms").asObject()) {
-        for (std::size_t p = 0; p < kNumPhases; ++p) {
-            rec.phaseSec[p] =
-                field(*ph, phaseName(static_cast<Phase>(p)))
-                    .asNumber() * 1e-3;
-        }
-    }
+    parser.object([&](std::string_view key) {
+        readMember(parser, rec, nullptr, key);
+    });
+    parser.finish();
     return rec;
 }
 

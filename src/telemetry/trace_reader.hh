@@ -8,6 +8,8 @@
  * The parser handles the JSON subset the sink produces (objects,
  * arrays, strings with escapes, numbers, booleans, null) and ignores
  * unknown keys, so the schema can grow without breaking old readers.
+ * Fields come from the schema walk in trace_schema.hh; a missing key
+ * or a value of the wrong JSON kind leaves the field's default.
  */
 
 #ifndef CUTTLESYS_TELEMETRY_TRACE_READER_HH
@@ -24,8 +26,9 @@ namespace cuttlesys {
 namespace telemetry {
 
 /**
- * Parse one JSONL line into a record.
- * Throws FatalError on malformed JSON.
+ * Parse one JSONL line into a record. Throws FatalError on malformed
+ * JSON, nesting deeper than 32 levels, or an integer field whose
+ * value is not finite or does not fit the field's type.
  */
 QuantumRecord parseRecord(std::string_view line);
 

@@ -1,11 +1,13 @@
 #include "telemetry/trace_sink.hh"
 
-#include <cstdint>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/logging.hh"
+#include "telemetry/trace_schema.hh"
 
 namespace cuttlesys {
 namespace telemetry {
@@ -14,7 +16,7 @@ namespace {
 
 /** JSON string escaping (quotes, backslash, control characters). */
 void
-appendEscaped(std::string &out, const std::string &s)
+appendEscaped(std::string &out, std::string_view s)
 {
     out += '"';
     for (const char ch : s) {
@@ -38,84 +40,63 @@ appendEscaped(std::string &out, const std::string &s)
     out += '"';
 }
 
+template <typename T>
 void
-appendNumber(std::string &out, double v)
+appendValue(std::string &out, const T &v)
 {
-    // Shortest representation that round-trips the exact bits: a
-    // saved trace must compare bitwise-equal against a live replay,
-    // so truncating (e.g. %.9g) would read back as a spurious
-    // mismatch. 15 digits suffice for most values; escalate to 17
-    // (DBL_DECIMAL_DIG) only when the parse-back differs.
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    out += buf;
-}
-
-void
-appendNumber(std::string &out, std::size_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%zu", v);
-    out += buf;
-}
-
-void
-appendNumber(std::string &out, int v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%d", v);
-    out += buf;
-}
-
-void
-appendInt64Array(std::string &out,
-                 const std::vector<std::int64_t> &values)
-{
-    out += '[';
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i)
-            out += ',';
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(values[i]));
+    if constexpr (std::is_same_v<T, bool>) {
+        out += v ? "true" : "false";
+    } else if constexpr (std::is_integral_v<T>) {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    } else if constexpr (std::is_enum_v<T>) {
+        appendEscaped(out, traceName(v));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        appendEscaped(out, v);
+    } else {
+        // Shortest representation that round-trips the exact bits: a
+        // saved trace must compare bitwise-equal against a live
+        // replay, so truncating (e.g. %.9g) would read back as a
+        // spurious mismatch. 15 digits suffice for most values;
+        // escalate to 17 (DBL_DECIMAL_DIG) only when the parse-back
+        // differs.
+        static_assert(std::is_same_v<T, double>);
+        char buf[40];
+        for (int prec = 15; prec <= 17; ++prec) {
+            std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+            if (std::strtod(buf, nullptr) == v)
+                break;
+        }
         out += buf;
     }
-    out += ']';
 }
 
+template <typename T>
 void
-appendIntArray(std::string &out,
-               const std::vector<std::int32_t> &values)
+appendValue(std::string &out, const std::vector<T> &values)
 {
     out += '[';
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i)
             out += ',';
-        appendNumber(out, static_cast<int>(values[i]));
+        appendValue(out, values[i]);
     }
     out += ']';
 }
 
+/** Phase timers go out in ms, keyed by phase name. */
 void
-appendDoubleArray(std::string &out, const std::vector<double> &values)
+appendValue(std::string &out, const std::array<double, kNumPhases> &sec)
 {
-    out += '[';
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i)
+    out += '{';
+    for (std::size_t p = 0; p < kNumPhases; ++p) {
+        if (p)
             out += ',';
-        appendNumber(out, values[i]);
+        appendEscaped(out, phaseName(static_cast<Phase>(p)));
+        out += ':';
+        appendValue(out, sec[p] * 1e3);
     }
-    out += ']';
-}
-
-const char *
-boolName(bool v)
-{
-    return v ? "true" : "false";
+    out += '}';
 }
 
 } // namespace
@@ -154,169 +135,36 @@ JsonlSink::flush()
 std::string
 JsonlSink::toJson(const QuantumRecord &rec)
 {
-    std::string js;
+    std::string js = "{";
     js.reserve(640);
-
-    js += "{\"slice\":";
-    appendNumber(js, rec.slice);
-    js += ",\"node\":";
-    appendNumber(js, rec.node);
-    js += ",\"t\":";
-    appendNumber(js, rec.timeSec);
-    js += ",\"sched\":";
-    appendEscaped(js, rec.scheduler);
-    js += ",\"load\":";
-    appendNumber(js, rec.loadFraction);
-    js += ",\"budget_w\":";
-    appendNumber(js, rec.powerBudgetW);
-    js += ",\"profiled_lc_cores\":";
-    appendNumber(js, rec.profiledLcCores);
-
-    // Tail latencies are stored in raw seconds: a ms conversion on
-    // write plus the inverse on read can be off by one ulp, which a
-    // bitwise replay comparison would flag as nondeterminism.
-    js += ",\"measured\":{\"tail_s\":";
-    appendNumber(js, rec.measuredTailSec);
-    js += ",\"util\":";
-    appendNumber(js, rec.measuredUtil);
-    js += ",\"completed\":";
-    appendNumber(js, rec.measuredCompleted);
-    js += ",\"violation\":";
-    js += boolName(rec.measuredViolation);
-    js += ",\"tail_observed\":";
-    js += boolName(rec.tailObserved);
-    js += ",\"polluted\":";
-    js += boolName(rec.pollutedSlice);
-    js += "}";
-
-    js += ",\"lc\":{\"path\":";
-    appendEscaped(js, lcPathName(rec.lcPath));
-    js += ",\"config\":";
-    appendEscaped(js, rec.lcConfigName);
-    js += ",\"config_index\":";
-    appendNumber(js, rec.lcConfigIndex);
-    js += ",\"cores\":";
-    appendNumber(js, rec.lcCores);
-    js += ",\"core_delta\":";
-    appendNumber(js, rec.lcCoreDelta);
-    js += ",\"scan_saturated\":";
-    appendNumber(js, rec.scanSaturated);
-    js += ",\"cf_feasible\":";
-    js += boolName(rec.chosenCfFeasible);
-    js += ",\"queue_feasible\":";
-    js += boolName(rec.chosenQueueFeasible);
-    js += "}";
-
-    js += ",\"search\":{\"budget_w\":";
-    appendNumber(js, rec.batchPowerBudgetW);
-    js += ",\"budget_ways\":";
-    appendNumber(js, rec.cacheBudgetWays);
-    js += ",\"seed_ways\":";
-    appendNumber(js, rec.seedWays);
-    js += ",\"seed_repaired\":";
-    js += boolName(rec.seedRepaired);
-    js += ",\"evaluations\":";
-    appendNumber(js, rec.searchEvaluations);
-    js += ",\"objective\":";
-    appendNumber(js, rec.searchObjective);
-    js += ",\"power_w\":";
-    appendNumber(js, rec.searchPowerW);
-    js += ",\"ways\":";
-    appendNumber(js, rec.searchWays);
-    js += ",\"repaired_ways\":";
-    appendNumber(js, rec.searchRepairedWays);
-    js += "}";
-
-    js += ",\"enforce\":{\"victims\":[";
-    for (std::size_t i = 0; i < rec.capVictims.size(); ++i) {
-        if (i)
-            js += ',';
-        appendNumber(js, rec.capVictims[i]);
-    }
-    js += "],\"reclaimed_ways\":";
-    appendNumber(js, rec.reclaimedWays);
-    js += ",\"power_w\":";
-    appendNumber(js, rec.enforcedPowerW);
-    js += "}";
-
-    js += ",\"check\":{\"violations\":[";
-    for (std::size_t i = 0; i < rec.invariantViolations.size(); ++i) {
-        if (i)
-            js += ',';
-        appendEscaped(js, rec.invariantViolations[i]);
-    }
-    js += "]}";
-
-    js += ",\"executed\":{\"tail_s\":";
-    appendNumber(js, rec.executedTailSec);
-    js += ",\"power_w\":";
-    appendNumber(js, rec.executedPowerW);
-    js += ",\"qos_violated\":";
-    js += boolName(rec.qosViolated);
-    js += ",\"gmean_bips\":";
-    appendNumber(js, rec.gmeanBips);
-    js += "}";
-
-    // The decision group is optional: legacy schedulers (and the
-    // stability gate's fastPath=false mode) leave decisionPath at
-    // None and emit no group, keeping pre-gate traces bitwise.
-    if (rec.decisionPath != DecisionPath::None) {
-        js += ",\"decision\":{\"path\":";
-        appendEscaped(js, decisionPathName(rec.decisionPath));
-        js += ",\"invalidation\":";
-        appendEscaped(js, invalidationReasonName(rec.invalidationReason));
-        js += ",\"since_full\":";
-        appendNumber(js, rec.quantaSinceFull);
-        js += "}";
-    }
-
-    // Tenancy is an optional group: hand-built records (tests, older
-    // tools) leave the slot maps empty and emit no group, and old
-    // traces without one parse back with empty maps.
-    if (!rec.slotAccounts.empty() || !rec.preemptedAccounts.empty()) {
-        js += ",\"tenancy\":{\"accounts\":";
-        appendIntArray(js, rec.slotAccounts);
-        js += ",\"bips\":";
-        appendDoubleArray(js, rec.slotBips);
-        js += ",\"cores\":";
-        appendDoubleArray(js, rec.slotCores);
-        js += ",\"preempted\":";
-        appendIntArray(js, rec.preemptedAccounts);
-        js += "}";
-    }
-
-    // The DAG group is optional too: non-DAG runs never fill the
-    // workflow slot maps, so their traces — including every frozen
-    // pre-DAG reference — keep emitting byte-identical lines.
-    if (!rec.slotWorkflows.empty() || !rec.completedWorkflows.empty()) {
-        js += ",\"dag\":{\"workflows\":";
-        appendInt64Array(js, rec.slotWorkflows);
-        js += ",\"tasks\":";
-        appendIntArray(js, rec.slotDagTasks);
-        js += ",\"hits\":";
-        appendNumber(js, rec.artifactHits);
-        js += ",\"misses\":";
-        appendNumber(js, rec.artifactMisses);
-        js += ",\"transfer_bytes\":";
-        appendNumber(js, rec.transferBytes);
-        js += ",\"done\":";
-        appendInt64Array(js, rec.completedWorkflows);
-        js += ",\"done_accounts\":";
-        appendIntArray(js, rec.completedAccounts);
-        js += ",\"done_makespans\":";
-        appendInt64Array(js, rec.completedMakespans);
-        js += "}";
-    }
-
-    js += ",\"phase_ms\":{";
-    for (std::size_t p = 0; p < kNumPhases; ++p) {
-        if (p)
-            js += ',';
-        appendEscaped(js, phaseName(static_cast<Phase>(p)));
-        js += ':';
-        appendNumber(js, rec.phaseSec[p] * 1e3);
-    }
-    js += "}}";
+    // Each group's object opens and closes as the schema walk
+    // crosses it.
+    const TraceGroup *open = &kTopGroup;
+    bool first = true;
+    forEachTraceField([&](const TraceGroup &group, const char *key,
+                          auto member, auto) {
+        if (group.present && !group.present(rec))
+            return;
+        if (&group != open) {
+            if (open != &kTopGroup)
+                js += '}';
+            if (&group != &kTopGroup) {
+                js += ",\"";
+                js += group.name;
+                js += "\":{";
+                first = true;
+            }
+            open = &group;
+        }
+        js += first ? "\"" : ",\"";
+        first = false;
+        js += key;
+        js += "\":";
+        appendValue(js, rec.*member);
+    });
+    if (open != &kTopGroup)
+        js += '}';
+    js += '}';
     return js;
 }
 

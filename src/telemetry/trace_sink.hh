@@ -8,8 +8,8 @@
  * leaves the search fields empty — and must not throw on ordinary I/O
  * trouble (a full disk degrades observability, not the run).
  *
- * JsonlSink serializes each record as one JSON object per line, the
- * schema DESIGN.md §8 documents; trace_reader.hh parses it back.
+ * JsonlSink serializes each record as one JSON object per line, in the
+ * schema trace_schema.hh defines; trace_reader.hh parses it back.
  * Lines accumulate in an amortized-growth buffer and reach the
  * underlying stream in large writes — a 1024-node fleet day emits
  * hundreds of thousands of records, and a syscall per record would

@@ -35,6 +35,7 @@
 #include "common/thread_pool.hh"
 #include "config/job_config.hh"
 #include "search/dds.hh"
+#include "telemetry/quantum_trace.hh"
 #include "../core/core_fixture.hh"
 
 namespace cuttlesys {
@@ -741,6 +742,42 @@ TEST(ZeroAlloc, DagWorkflowQuantumIsHeapFree)
         << allocs << " times over " << kMeasured << " quanta";
     EXPECT_GT(cache.evictions(), 0u)
         << "cache never evicted — the gate missed the eviction path";
+}
+
+TEST(ZeroAlloc, TracedQuantumIsHeapFree)
+{
+    // A traced run with no sink: begin, the scheduler's and driver's
+    // field writes, phase timers, and end()'s fold into the summary.
+    telemetry::QuantumTrace trace;
+    auto quantum = [&trace](std::size_t slice) {
+        trace.begin(slice, 0.1 * static_cast<double>(slice));
+        telemetry::QuantumRecord &rec = trace.record();
+        rec.lcPath = slice % 3 ? telemetry::LcPath::CfFeasible
+                               : telemetry::LcPath::ViolationRelocate;
+        rec.lcCoreDelta = slice % 3 ? 0 : 1;
+        rec.decisionPath = slice % 2 ? telemetry::DecisionPath::Full
+                                     : telemetry::DecisionPath::FastReuse;
+        rec.invalidationReason = slice % 2
+            ? telemetry::InvalidationReason::LoadDrift
+            : telemetry::InvalidationReason::None;
+        rec.searchEvaluations = 100 + slice;
+        trace.addPhaseTime(telemetry::Phase::Reconstruct, 0.002);
+        trace.addPhaseTime(telemetry::Phase::Search, 0.001);
+        trace.end();
+    };
+    for (std::size_t s = 0; s < 4; ++s)
+        quantum(s);
+
+    constexpr std::size_t kMeasured = 100;
+    const std::uint64_t before = AllocProbe::newCount();
+    for (std::size_t s = 4; s < 4 + kMeasured; ++s)
+        quantum(s);
+    const std::uint64_t allocs = AllocProbe::newCount() - before;
+
+    EXPECT_EQ(allocs, 0u)
+        << "traced quantum touched the heap " << allocs
+        << " times over " << kMeasured << " quanta";
+    EXPECT_EQ(trace.summary().records, 4 + kMeasured);
 }
 
 TEST(ZeroAlloc, ParallelForSteadyStateIsHeapFree)

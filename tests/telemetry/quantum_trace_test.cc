@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "check/trace_diff.hh"
 #include "common/logging.hh"
 #include "telemetry/quantum_trace.hh"
 #include "telemetry/trace_reader.hh"
@@ -23,6 +28,7 @@ fullRecord()
 {
     QuantumRecord rec;
     rec.slice = 42;
+    rec.node = 6;
     rec.timeSec = 4.2;
     rec.scheduler = "CuttleSys \"test\"\n";
     rec.loadFraction = 0.75;
@@ -50,12 +56,30 @@ fullRecord()
     rec.searchObjective = 5.125;
     rec.searchPowerW = 44.25;
     rec.searchWays = 24.5;
+    rec.searchRepairedWays = 1.5;
     rec.capVictims = {3, 1, 7};
     rec.reclaimedWays = 10.5;
+    rec.enforcedPowerW = 43.75;
+    rec.invariantViolations = {"ways: 33 > 32", "power \"cap\""};
     rec.executedTailSec = 0.0045;
     rec.executedPowerW = 91.5;
     rec.qosViolated = true;
     rec.gmeanBips = 5.625;
+    rec.decisionPath = DecisionPath::MemoSeeded;
+    rec.invalidationReason = InvalidationReason::BudgetShift;
+    rec.quantaSinceFull = 4;
+    rec.slotAccounts = {2, -1, 0};
+    rec.slotBips = {1.25, 0.0, 3.5};
+    rec.slotCores = {0.5, 0.0, 1.0};
+    rec.preemptedAccounts = {1};
+    rec.slotWorkflows = {9000000000LL, -1, 12};
+    rec.slotDagTasks = {3, -1, 0};
+    rec.artifactHits = 5;
+    rec.artifactMisses = 2;
+    rec.transferBytes = 6.5e8;
+    rec.completedWorkflows = {11};
+    rec.completedAccounts = {2};
+    rec.completedMakespans = {37};
     for (std::size_t p = 0; p < kNumPhases; ++p)
         rec.phaseSec[p] = 0.001 * static_cast<double>(p + 1);
     return rec;
@@ -118,13 +142,6 @@ TEST(QuantumTraceTest, SummaryAggregatesRecords)
         static_cast<std::size_t>(Phase::Search)];
     EXPECT_EQ(search_ms.count(), 1u);
 
-    const StatsRegistry &reg = trace.registry();
-    EXPECT_EQ(reg.counterValue("quantum.records"), 3u);
-    EXPECT_EQ(reg.counterValue("lc.path.cold-start"), 1u);
-    EXPECT_EQ(reg.counterValue("lc.path.cf"), 1u);
-    EXPECT_EQ(reg.counterValue("enforce.gated_slices"), 1u);
-    EXPECT_DOUBLE_EQ(reg.statValue("enforce.reclaimed_ways").mean(),
-                     3.5);
 }
 
 TEST(QuantumTraceTest, MemorySinkKeepsEveryRecord)
@@ -165,6 +182,7 @@ TEST(TraceRoundTripTest, JsonPreservesEveryField)
     const QuantumRecord back = parseRecord(JsonlSink::toJson(rec));
 
     EXPECT_EQ(back.slice, rec.slice);
+    EXPECT_EQ(back.node, rec.node);
     EXPECT_DOUBLE_EQ(back.timeSec, rec.timeSec);
     EXPECT_EQ(back.scheduler, rec.scheduler);
     EXPECT_DOUBLE_EQ(back.loadFraction, rec.loadFraction);
@@ -192,12 +210,30 @@ TEST(TraceRoundTripTest, JsonPreservesEveryField)
     EXPECT_DOUBLE_EQ(back.searchObjective, rec.searchObjective);
     EXPECT_DOUBLE_EQ(back.searchPowerW, rec.searchPowerW);
     EXPECT_DOUBLE_EQ(back.searchWays, rec.searchWays);
+    EXPECT_DOUBLE_EQ(back.searchRepairedWays, rec.searchRepairedWays);
     EXPECT_EQ(back.capVictims, rec.capVictims);
     EXPECT_DOUBLE_EQ(back.reclaimedWays, rec.reclaimedWays);
+    EXPECT_DOUBLE_EQ(back.enforcedPowerW, rec.enforcedPowerW);
+    EXPECT_EQ(back.invariantViolations, rec.invariantViolations);
     EXPECT_NEAR(back.executedTailSec, rec.executedTailSec, 1e-12);
     EXPECT_DOUBLE_EQ(back.executedPowerW, rec.executedPowerW);
     EXPECT_EQ(back.qosViolated, rec.qosViolated);
     EXPECT_DOUBLE_EQ(back.gmeanBips, rec.gmeanBips);
+    EXPECT_EQ(back.decisionPath, rec.decisionPath);
+    EXPECT_EQ(back.invalidationReason, rec.invalidationReason);
+    EXPECT_EQ(back.quantaSinceFull, rec.quantaSinceFull);
+    EXPECT_EQ(back.slotAccounts, rec.slotAccounts);
+    EXPECT_EQ(back.slotBips, rec.slotBips);
+    EXPECT_EQ(back.slotCores, rec.slotCores);
+    EXPECT_EQ(back.preemptedAccounts, rec.preemptedAccounts);
+    EXPECT_EQ(back.slotWorkflows, rec.slotWorkflows);
+    EXPECT_EQ(back.slotDagTasks, rec.slotDagTasks);
+    EXPECT_EQ(back.artifactHits, rec.artifactHits);
+    EXPECT_EQ(back.artifactMisses, rec.artifactMisses);
+    EXPECT_DOUBLE_EQ(back.transferBytes, rec.transferBytes);
+    EXPECT_EQ(back.completedWorkflows, rec.completedWorkflows);
+    EXPECT_EQ(back.completedAccounts, rec.completedAccounts);
+    EXPECT_EQ(back.completedMakespans, rec.completedMakespans);
     for (std::size_t p = 0; p < kNumPhases; ++p)
         EXPECT_NEAR(back.phaseSec[p], rec.phaseSec[p], 1e-12) << p;
 }
@@ -307,6 +343,103 @@ TEST(TraceRoundTripTest, MalformedJsonThrows)
     EXPECT_THROW(parseRecord("{\"slice\":"), FatalError);
     EXPECT_THROW(parseRecord("not json"), FatalError);
     EXPECT_THROW(parseRecord("{\"slice\":1} trailing"), FatalError);
+}
+
+TEST(TraceRoundTripTest, IntegerFieldsRoundAndClampInRange)
+{
+    EXPECT_EQ(parseRecord("{\"slice\":2.6}").slice, 3u);
+    EXPECT_EQ(parseRecord("{\"slice\":-5}").slice, 0u);
+    EXPECT_EQ(parseRecord("{\"lc\":{\"core_delta\":-1.7}}").lcCoreDelta,
+              -1);
+    EXPECT_EQ(parseRecord("{\"dag\":{\"done\":[-1,8e18]}}")
+                  .completedWorkflows,
+              (std::vector<std::int64_t>{-1, 8000000000000000000LL}));
+}
+
+TEST(TraceRoundTripTest, OutOfRangeIntegersThrow)
+{
+    // size_t, int, int32 and int64 fields, scalar and array, plus the
+    // optional decision group's counter.
+    EXPECT_THROW(parseRecord("{\"slice\":1e300}"), FatalError);
+    EXPECT_THROW(parseRecord("{\"lc\":{\"core_delta\":3e9}}"),
+                 FatalError);
+    EXPECT_THROW(parseRecord("{\"lc\":{\"core_delta\":-3e9}}"),
+                 FatalError);
+    EXPECT_THROW(parseRecord("{\"tenancy\":{\"accounts\":[1,3e9]}}"),
+                 FatalError);
+    EXPECT_THROW(parseRecord("{\"dag\":{\"done\":[1e19]}}"),
+                 FatalError);
+    EXPECT_THROW(parseRecord("{\"decision\":{\"since_full\":1e20}}"),
+                 FatalError);
+    EXPECT_THROW(parseRecord("{\"enforce\":{\"victims\":[2e19]}}"),
+                 FatalError);
+}
+
+TEST(TraceRoundTripTest, NonFiniteIntegersThrow)
+{
+    // strtod reads an overflowing literal as infinity.
+    EXPECT_THROW(parseRecord("{\"slice\":1e999}"), FatalError);
+    EXPECT_THROW(parseRecord("{\"node\":-1e999}"), FatalError);
+}
+
+TEST(TraceRoundTripTest, DeepNestingThrows)
+{
+    const auto nested = [](std::size_t depth) {
+        // depth - 1 arrays under an unknown key of the top object.
+        return "{\"x\":" + std::string(depth - 1, '[') +
+            std::string(depth - 1, ']') + "}";
+    };
+    EXPECT_EQ(parseRecord(nested(32)).slice, 0u);
+    EXPECT_THROW(parseRecord(nested(33)), FatalError);
+    EXPECT_THROW(parseRecord(std::string(200000, '[')), FatalError);
+}
+
+TEST(TraceRoundTripTest, LegacyMillisecondTailsStillRead)
+{
+    const QuantumRecord rec = parseRecord(
+        "{\"measured\":{\"tail_ms\":5},\"executed\":{\"tail_ms\":4.5}}");
+    EXPECT_DOUBLE_EQ(rec.measuredTailSec, 0.005);
+    EXPECT_DOUBLE_EQ(rec.executedTailSec, 0.0045);
+}
+
+/** Every line of the frozen fleet replay references. */
+std::vector<std::string>
+referenceLines()
+{
+    std::vector<std::string> lines;
+    for (const char *name : {"fleet_ref_pr8.jsonl", "fleet_ref_dag.jsonl"}) {
+        std::ifstream in(std::string(CS_TEST_DATA_DIR) + "/" + name);
+        EXPECT_TRUE(in) << name;
+        std::string line;
+        while (std::getline(in, line))
+            lines.push_back(line);
+    }
+    return lines;
+}
+
+TEST(TraceRoundTripTest, FrozenReferencesReemitByteIdentically)
+{
+    // Phase timers travel in ms but live in seconds, so they may move
+    // by an ulp; every byte before them must survive parse + emit.
+    const std::vector<std::string> lines = referenceLines();
+    ASSERT_GT(lines.size(), 100u);
+    for (const std::string &line : lines) {
+        const std::string again = JsonlSink::toJson(parseRecord(line));
+        const std::size_t cut = line.find(",\"phase_ms\":");
+        ASSERT_NE(cut, std::string::npos);
+        EXPECT_EQ(again.substr(0, cut), line.substr(0, cut));
+    }
+}
+
+TEST(TraceRoundTripTest, FrozenReferenceComparesThirtyNineFields)
+{
+    std::vector<QuantumRecord> trace;
+    for (const std::string &line : referenceLines())
+        trace.push_back(parseRecord(line));
+    ASSERT_FALSE(trace.empty());
+    const check::TraceDiff diff = check::diffDecisionTraces(trace, trace);
+    EXPECT_TRUE(diff.identical());
+    EXPECT_EQ(diff.comparedFields, 39u * trace.size());
 }
 
 TEST(TraceRoundTripTest, MissingFileThrows)

@@ -2,12 +2,11 @@
  * @file
  * cslint — the repository's compiled static analyzer.
  *
- * Replaces the Python regex linter (tools/lint.sh) with a
- * comment/string-aware token analyzer. Two properties motivated the
- * rewrite: the regex stripper mishandled C++ raw string literals
- * (R"( ... )" terminated at the first '"', silently blanking the rest
- * of the file — any violation after a raw string was invisible), and
- * several determinism rules the repo needs are not expressible as
+ * A comment/string-aware token analyzer rather than a line-regex
+ * linter, for two reasons: a regex stripper mishandles C++ raw string
+ * literals (R"( ... )" ends at the first '"', silently blanking the
+ * rest of the file — any violation after a raw string is invisible),
+ * and several determinism rules the repo needs are not expressible as
  * line regexes at all (range-for float reductions, include layering).
  *
  * Rules (ids as printed; each line of output is
@@ -50,10 +49,9 @@
  *       goes through the CAPABILITY-annotated wrappers so Clang's
  *       -Wthread-safety proves lock discipline (DESIGN.md §9).
  *   include-cycle    DFS over the project's own quoted includes.
- *       (The regex linter parsed includes from text whose string
- *       contents it had already blanked, so its cycle rule matched
- *       whitespace paths and could never fire; includes are parsed
- *       from the raw text here.)
+ *       Includes are parsed from the raw text: parsed from text whose
+ *       string contents were already blanked, the include paths
+ *       would be whitespace and the rule could never fire.
  *   layering         the src/ directory DAG — an include may point
  *       only at the same or a lower layer:
  *         0 common | 1 apps config telemetry | 2 cache cf search
