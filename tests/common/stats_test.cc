@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 
 namespace cuttlesys {
@@ -34,6 +37,65 @@ TEST(StatsTest, PercentileInterpolates)
     std::vector<double> v{0.0, 10.0};
     EXPECT_DOUBLE_EQ(percentile(v, 25.0), 2.5);
     EXPECT_DOUBLE_EQ(percentile(v, 99.0), 9.9);
+}
+
+/**
+ * The percentile definition written out longhand: sort the whole
+ * sample, then interpolate between the two order statistics around
+ * rank p/100 * (n-1).
+ */
+double
+sortThenInterpolate(std::vector<double> v, double p)
+{
+    std::sort(v.begin(), v.end());
+    if (v.size() == 1)
+        return v.front();
+    const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    const double frac = rank - static_cast<double>(lo);
+    return v[lo] + frac * (v[hi] - v[lo]);
+}
+
+TEST(PercentileTest, SelectionMatchesSortReference)
+{
+    // Both overloads must return the reference's exact bits, whatever
+    // algorithm finds the two order statistics. Samples draw from a
+    // small value set (heavy ties, including -0.0 next to 0.0) mixed
+    // with continuous values. NaN inputs are out of contract: they
+    // have no total order, so no percentile is defined for them.
+    Rng rng(2026);
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 64; ++n)
+        sizes.push_back(n);
+    for (std::size_t n = 101; n < 2000; n += 97)
+        sizes.push_back(n);
+    sizes.push_back(2000);
+    const double ps[] = {0.0, 0.1, 25.0, 50.0, 95.0, 99.0, 99.9, 100.0};
+
+    std::vector<double> scratch{7.0, -3.0}; // stale contents
+    for (const std::size_t n : sizes) {
+        std::vector<double> v(n);
+        for (double &x : v) {
+            const auto tie = rng.uniformInt(-3, 5);
+            x = rng.bernoulli(0.6) ? (tie == 0 ? -0.0 : 0.25 * tie)
+                                   : rng.uniform(-2.0, 2.0);
+        }
+        const std::vector<double> original = v;
+        for (const double p : ps) {
+            const double want = sortThenInterpolate(v, p);
+            const double plain = percentile(v, p);
+            const double reused = percentile(v, p, scratch);
+            EXPECT_EQ(std::memcmp(&plain, &want, sizeof(double)), 0)
+                << "n=" << n << " p=" << p << ": " << plain
+                << " vs " << want;
+            EXPECT_EQ(std::memcmp(&reused, &want, sizeof(double)), 0)
+                << "n=" << n << " p=" << p << ": " << reused
+                << " vs " << want;
+        }
+        // The input span is read, never reordered.
+        EXPECT_EQ(v, original);
+    }
 }
 
 TEST(StatsTest, PercentileRejectsOutOfRange)

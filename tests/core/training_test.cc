@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "core_fixture.hh"
 
 namespace cuttlesys {
@@ -67,6 +70,41 @@ TEST(TrainingTest, LatencyRowsSpanLoads)
             << "high-load tail should usually dominate (app "
             << app << ")";
     }
+}
+
+/** FNV-1a over the bit patterns of @p n doubles, chained. */
+std::uint64_t
+hashBits(std::uint64_t h, const double *x, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &x[i], sizeof(bits));
+        for (int b = 0; b < 8; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+TEST(TrainingTest, PinnedTableBits)
+{
+    // The offline characterization seeds every reconstruction, so a
+    // change to how it is computed (queue simulation, percentile,
+    // scheduling of the independent cells) must not move one bit of
+    // the calibrated loads or of any training table.
+    std::vector<double> max_qps;
+    for (const AppProfile &app : calibratedTailbench())
+        max_qps.push_back(app.maxQps);
+    const TrainingTables &tables = testTrainingTables(0);
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    h = hashBits(h, max_qps.data(), max_qps.size());
+    for (const Matrix *m : {&tables.bips, &tables.power, &tables.latency})
+        h = hashBits(h, m->data(), m->rows() * m->cols());
+    h = hashBits(h, tables.latencyRowUtil.data(),
+                 tables.latencyRowUtil.size());
+    EXPECT_EQ(h, 0x144a25199bc2ea95ULL) << "digest 0x" << std::hex << h;
 }
 
 } // namespace

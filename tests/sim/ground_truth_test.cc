@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/logging.hh"
 #include "sim/ground_truth.hh"
 #include "sim_fixture.hh"
@@ -126,6 +128,34 @@ TEST(GroundTruthTest, TrainingTableStacksAppsByLoad)
     for (std::size_t r = 0; r < table.rows(); ++r)
         for (std::size_t c = 0; c < table.cols(); ++c)
             EXPECT_GT(table(r, c), 0.0);
+}
+
+TEST(GroundTruthTest, TrainingTableRowsMatchTailCurves)
+{
+    // Row (app a, load f) of the table is exactly lcTailCurve at
+    // f * maxQps: same seeds, same simulations, same bits.
+    const SystemParams params;
+    std::vector<AppProfile> apps = {calibratedTailbench()[1],
+                                    calibratedTailbench()[4]};
+    const std::vector<double> loads = {0.3, 0.9};
+    LcCurveOptions opts;
+    opts.warmupSec = 0.1;
+    opts.measureSec = 0.3;
+    const Matrix table = lcTailTrainingTable(apps, loads, params, opts);
+    ASSERT_EQ(table.rows(), apps.size() * loads.size());
+    std::size_t row = 0;
+    for (const AppProfile &app : apps) {
+        for (const double f : loads) {
+            const auto curve =
+                lcTailCurve(app, f * app.maxQps, params, opts);
+            ASSERT_EQ(curve.size(), table.cols());
+            EXPECT_EQ(std::memcmp(curve.data(), table.rowPtr(row),
+                                  curve.size() * sizeof(double)),
+                      0)
+                << app.name << " at load " << f;
+            ++row;
+        }
+    }
 }
 
 TEST(GroundTruthTest, TrainingTableRequiresCalibration)
