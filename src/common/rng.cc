@@ -108,15 +108,27 @@ Rng::normal(double mean, double stddev)
     return mean + stddev * normal();
 }
 
+LognormalParams
+lognormalParams(double mean, double cv)
+{
+    CS_ASSERT(mean > 0.0 && cv >= 0.0, "invalid lognormal parameters");
+    const double sigma2 = std::log(1.0 + cv * cv);
+    return {std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
+}
+
+double
+Rng::lognormal(double mu, double sigma)
+{
+    return std::exp(mu + sigma * normal());
+}
+
 double
 Rng::lognormalMeanCv(double mean, double cv)
 {
-    CS_ASSERT(mean > 0.0 && cv >= 0.0, "invalid lognormal parameters");
+    const LognormalParams params = lognormalParams(mean, cv);
     if (cv == 0.0)
         return mean;
-    const double sigma2 = std::log(1.0 + cv * cv);
-    const double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(mu + std::sqrt(sigma2) * normal());
+    return lognormal(params.mu, params.sigma);
 }
 
 double

@@ -19,6 +19,20 @@
 
 namespace cuttlesys {
 
+/** Parameters of the normal underlying a lognormal distribution. */
+struct LognormalParams
+{
+    double mu = 0.0;
+    double sigma = 0.0;
+};
+
+/**
+ * mu and sigma giving a lognormal of the given @p mean and coefficient
+ * of variation @p cv: what Rng::lognormalMeanCv draws from, for
+ * callers that draw many samples of one distribution.
+ */
+LognormalParams lognormalParams(double mean, double cv);
+
 /**
  * xoshiro256** pseudo-random generator with distribution helpers.
  *
@@ -54,10 +68,14 @@ class Rng
     /** Normal with the given mean and standard deviation. */
     double normal(double mean, double stddev);
 
+    /** Lognormal sample exp(mu + sigma * N(0, 1)). */
+    double lognormal(double mu, double sigma);
+
     /**
      * Lognormal sample parameterized by the mean and coefficient of
      * variation of the *resulting* distribution (more convenient for
      * service-time models than mu/sigma of the underlying normal).
+     * cv == 0 returns @p mean without drawing.
      */
     double lognormalMeanCv(double mean, double cv);
 

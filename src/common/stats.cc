@@ -10,19 +10,39 @@ namespace cuttlesys {
 
 namespace {
 
+/** The two order statistics rank p/100 * (n-1) falls between. */
+struct Rank
+{
+    std::size_t lo;
+    std::size_t hi;
+    double frac; //!< weight of the hi statistic
+};
+
+Rank
+rankOf(std::size_t n, double p)
+{
+    CS_ASSERT(n > 0, "percentile of empty sample");
+    CS_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    return {lo, hi, rank - static_cast<double>(lo)};
+}
+
+double
+interpolate(double lo, double hi, double frac)
+{
+    return lo + frac * (hi - lo);
+}
+
 /** Percentile of an already-sorted sample. */
 double
 sortedPercentile(std::span<const double> sorted, double p)
 {
-    CS_ASSERT(!sorted.empty(), "percentile of empty sample");
-    CS_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
+    const Rank r = rankOf(sorted.size(), p);
     if (sorted.size() == 1)
         return sorted.front();
-    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(rank));
-    const auto hi = static_cast<std::size_t>(std::ceil(rank));
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
 }
 
 } // namespace
@@ -41,23 +61,31 @@ BoxPlot::toString() const
 double
 percentile(std::span<const double> values, double p)
 {
-    std::vector<double> sorted(values.begin(), values.end());
-    std::sort(sorted.begin(), sorted.end());
-    return sortedPercentile(sorted, p);
+    std::vector<double> scratch;
+    return percentile(values, p, scratch);
 }
 
 double
 percentile(std::span<const double> values, double p,
            std::vector<double> &scratch)
 {
+    const Rank r = rankOf(values.size(), p);
+    if (values.size() == 1)
+        return values.front();
     // Amortized-headroom growth: a new sample-count high-water must
     // not realloc exact-fit every time it inches up, or a zero-alloc
     // steady state never settles under noisy sample counts.
     if (scratch.capacity() < values.size())
         scratch.reserve(values.size() + values.size() / 2);
     scratch.assign(values.begin(), values.end());
-    std::sort(scratch.begin(), scratch.end());
-    return sortedPercentile(scratch, p);
+    // Only two order statistics are needed: select the lo-th, then
+    // the hi-th is the smallest value above it. These are exactly the
+    // elements a full sort would put at lo and hi.
+    const auto lo = scratch.begin() + static_cast<std::ptrdiff_t>(r.lo);
+    std::nth_element(scratch.begin(), lo, scratch.end());
+    const double hi =
+        r.hi == r.lo ? *lo : *std::min_element(lo + 1, scratch.end());
+    return interpolate(*lo, hi, r.frac);
 }
 
 double

@@ -48,11 +48,14 @@ struct BoxPlot
 double percentile(std::span<const double> values, double p);
 
 /**
- * Same percentile, but sorting into caller-owned @p scratch instead
+ * Same percentile, but selecting in caller-owned @p scratch instead
  * of a fresh vector — allocation-free once scratch has capacity.
  * Used by per-quantum paths (tail-latency windows) that must not
- * touch the heap in steady state. Bitwise identical to the
- * two-argument overload: same copy, same sort, same interpolation.
+ * touch the heap in steady state. The two order statistics are found
+ * by selection (nth_element, then the minimum above it), not a full
+ * sort; they are the same elements a sort would place at those ranks,
+ * so the result is bitwise that of sort-then-interpolate. NaN inputs
+ * are out of contract (no order statistics exist).
  */
 double percentile(std::span<const double> values, double p,
                   std::vector<double> &scratch);

@@ -30,8 +30,9 @@ struct ThreadPool::Batch
     std::atomic<std::size_t> done{0};  //!< completed invocations
     Mutex doneMutex;
     CondVar doneCv;
-    /** First failure, if any. */
+    /** Failure of the lowest failing index, if any. */
     std::exception_ptr error CS_GUARDED_BY(doneMutex);
+    std::size_t errorIndex CS_GUARDED_BY(doneMutex) = 0;
 };
 
 ThreadPool::ThreadPool(std::size_t threads)
@@ -74,9 +75,13 @@ ThreadPool::runIndex(Batch &batch, std::size_t i, std::size_t n)
     try {
         batch.task.invoke(batch.task.ctx, i);
     } catch (...) {
+        // Keep the lowest index's failure, not the first in time, so
+        // which error a region reports does not depend on scheduling.
         LockGuard lock(batch.doneMutex);
-        if (!batch.error)
+        if (!batch.error || i < batch.errorIndex) {
             batch.error = std::current_exception();
+            batch.errorIndex = i;
+        }
     }
     if (batch.done.fetch_add(1) + 1 == n) {
         // The lock pairs with the caller's predicate check so the
@@ -163,6 +168,7 @@ ThreadPool::acquireBatch() CS_NO_THREAD_SAFETY_ANALYSIS
             slot->next.store(0, std::memory_order_relaxed);
             slot->done.store(0, std::memory_order_relaxed);
             slot->error = nullptr;
+            slot->errorIndex = 0;
             return slot;
         }
     }
@@ -214,9 +220,8 @@ ThreadPool::parallelForTask(std::size_t n, TaskRef task)
         UniqueLock lock(batch->doneMutex);
         while (batch->done.load() < batch->n)
             batch->doneCv.wait(lock);
-        // Every invocation has completed, so reading the first
-        // recorded failure here (still under doneMutex) sees its
-        // final value.
+        // Every invocation has completed, so reading the recorded
+        // failure here (still under doneMutex) sees its final value.
         error = batch->error;
     }
 

@@ -54,10 +54,11 @@ class ThreadPool
     /**
      * Run fn(i) for i in [0, n), distributing indices over the pool
      * workers and the calling thread; returns once every invocation
-     * completed. The first exception thrown by any invocation is
-     * rethrown on the caller. Reentrant: fn may itself call
-     * parallelFor on the same pool. The callable is borrowed, not
-     * copied — no type erasure, no allocation.
+     * completed. If invocations throw, the exception of the lowest
+     * failing index is rethrown on the caller, so which failure a
+     * region reports does not depend on the schedule. Reentrant: fn
+     * may itself call parallelFor on the same pool. The callable is
+     * borrowed, not copied — no type erasure, no allocation.
      */
     template <typename Fn>
     void

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "config/job_config.hh"
 #include "lcsim/queue_sim.hh"
 #include "model/core_model.hh"
@@ -71,12 +72,15 @@ std::vector<double>
 calibrateMaxQps(std::vector<AppProfile> &apps, const SystemParams &params,
                 const MaxQpsOptions &opts)
 {
-    std::vector<double> loads;
-    loads.reserve(apps.size());
-    for (auto &app : apps) {
-        app.maxQps = findMaxQps(app, params, opts);
-        loads.push_back(app.maxQps);
-    }
+    // Each service's bisection is independent (its own simulations,
+    // its own seed, its own slot), so the loads cannot depend on the
+    // pool width; a failure reports the lowest failing service.
+    std::vector<double> loads(apps.size());
+    ThreadPool::global().parallelFor(apps.size(), [&](std::size_t i) {
+        loads[i] = findMaxQps(apps[i], params, opts);
+    });
+    for (std::size_t i = 0; i < apps.size(); ++i)
+        apps[i].maxQps = loads[i];
     return loads;
 }
 

@@ -58,7 +58,10 @@ double findMaxQps(const AppProfile &app, const SystemParams &params,
                   const MaxQpsOptions &opts = {});
 
 /**
- * Fill in AppProfile::maxQps for every profile in @p apps.
+ * Fill in AppProfile::maxQps for every profile in @p apps, one
+ * service per index of the global thread pool. The result does not
+ * depend on the pool width; if several services fail, the panic
+ * names the first of them in @p apps order.
  * @return the calibrated loads, in the order of @p apps.
  */
 std::vector<double> calibrateMaxQps(std::vector<AppProfile> &apps,

@@ -10,8 +10,10 @@ namespace cuttlesys {
 
 LcQueueSim::LcQueueSim(AppProfile profile, std::size_t num_servers,
                        double ips_per_core, std::uint64_t seed)
-    : profile_(std::move(profile)), numServers_(num_servers),
-      ips_(ips_per_core), rng_(seed)
+    : profile_(std::move(profile)),
+      work_(lognormalParams(profile_.requestInstructions(),
+                            profile_.requestCv)),
+      numServers_(num_servers), ips_(ips_per_core), rng_(seed)
 {
     CS_ASSERT(numServers_ > 0, "LC service needs at least one core");
     CS_ASSERT(ips_ > 0.0, "service rate must be positive");
@@ -126,8 +128,9 @@ LcQueueSim::run(double duration)
         if (kind == Kind::Arrival) {
             Pending req;
             req.arrival = now_;
-            req.instructions = rng_.lognormalMeanCv(
-                profile_.requestInstructions(), profile_.requestCv);
+            req.instructions = profile_.requestCv == 0.0
+                ? profile_.requestInstructions()
+                : rng_.lognormal(work_.mu, work_.sigma);
             pending_.push_back(req);
             dispatch();
             scheduleNextArrival();

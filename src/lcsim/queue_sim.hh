@@ -106,6 +106,8 @@ class LcQueueSim
     void scheduleNextArrival();
 
     AppProfile profile_;
+    /** Request-work distribution, fixed by the immutable profile. */
+    LognormalParams work_;
     std::size_t numServers_;
     double ips_;
     double qps_ = 0.0;

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "lcsim/queue_sim.hh"
 #include "power/power_model.hh"
 #include "model/core_model.hh"
@@ -39,27 +40,42 @@ batchTruthTables(const std::vector<AppProfile> &apps,
     return truth;
 }
 
+namespace {
+
+/**
+ * Measured p99 of @p app at @p qps on joint configuration @p c: one
+ * independent simulation with its own seed, so cells can run in any
+ * order on any thread.
+ */
+double
+lcTailCell(const AppProfile &app, double qps, std::size_t c,
+           const SystemParams &params, const LcCurveOptions &opts)
+{
+    const JobConfig config = JobConfig::fromIndex(c);
+    const double ips = coreIps(app, config, params, 1.0,
+                               opts.reconfigurable);
+    LcQueueSim sim(app, opts.servers, ips, opts.seed + c);
+    sim.setLoadQps(qps);
+    sim.run(opts.warmupSec);
+    sim.clearWindow();
+    sim.run(opts.measureSec);
+    // An empty window means the system is so saturated nothing
+    // completed; report the whole backlog age as the tail.
+    return sim.completedInWindow() > 0 ? sim.tailLatency(99.0)
+                                       : opts.warmupSec + opts.measureSec;
+}
+
+} // namespace
+
 std::vector<double>
 lcTailCurve(const AppProfile &app, double qps,
             const SystemParams &params, const LcCurveOptions &opts)
 {
     CS_ASSERT(app.isLatencyCritical(), "lcTailCurve needs an LC app");
     std::vector<double> curve(kNumJobConfigs, 0.0);
-    for (std::size_t c = 0; c < kNumJobConfigs; ++c) {
-        const JobConfig config = JobConfig::fromIndex(c);
-        const double ips = coreIps(app, config, params, 1.0,
-                                   opts.reconfigurable);
-        LcQueueSim sim(app, opts.servers, ips, opts.seed + c);
-        sim.setLoadQps(qps);
-        sim.run(opts.warmupSec);
-        sim.clearWindow();
-        sim.run(opts.measureSec);
-        // An empty window means the system is so saturated nothing
-        // completed; report the whole backlog age as the tail.
-        curve[c] = sim.completedInWindow() > 0
-            ? sim.tailLatency(99.0)
-            : opts.warmupSec + opts.measureSec;
-    }
+    ThreadPool::global().parallelFor(kNumJobConfigs, [&](std::size_t c) {
+        curve[c] = lcTailCell(app, qps, c, params, opts);
+    });
     return curve;
 }
 
@@ -89,19 +105,25 @@ lcTailTrainingTable(const std::vector<AppProfile> &apps,
                     const SystemParams &params,
                     const LcCurveOptions &opts)
 {
-    Matrix table(apps.size() * load_fractions.size(), kNumJobConfigs);
-    std::size_t row = 0;
+    // Preconditions first, in app order, so a bad app fails before
+    // any simulation runs.
     for (const auto &app : apps) {
         CS_ASSERT(app.maxQps > 0.0, app.name,
                   " is not calibrated; run calibrateMaxQps first");
-        for (double fraction : load_fractions) {
-            const auto curve =
-                lcTailCurve(app, fraction * app.maxQps, params, opts);
-            for (std::size_t c = 0; c < kNumJobConfigs; ++c)
-                table(row, c) = curve[c];
-            ++row;
-        }
+        CS_ASSERT(app.isLatencyCritical(), "lcTailCurve needs an LC app");
     }
+    // One (row, config) cell per index; each writes its own entry.
+    const std::size_t loads = load_fractions.size();
+    Matrix table(apps.size() * loads, kNumJobConfigs);
+    ThreadPool::global().parallelFor(
+        table.rows() * kNumJobConfigs, [&](std::size_t i) {
+            const std::size_t row = i / kNumJobConfigs;
+            const std::size_t c = i % kNumJobConfigs;
+            const AppProfile &app = apps[row / loads];
+            table(row, c) = lcTailCell(
+                app, load_fractions[row % loads] * app.maxQps, c,
+                params, opts);
+        });
     return table;
 }
 

@@ -60,6 +60,9 @@ struct LcCurveOptions
 /**
  * Measured p99 (seconds) of @p app at @p qps for every joint
  * configuration, in isolation. Entry order is JobConfig::index().
+ * Configuration c is simulated alone with seed opts.seed + c, one
+ * configuration per index of the global thread pool, so the curve
+ * does not depend on the pool width.
  */
 std::vector<double> lcTailCurve(const AppProfile &app, double qps,
                                 const SystemParams &params,
@@ -77,7 +80,8 @@ std::vector<double> lcPowerCurve(const AppProfile &app, double qps,
 /**
  * Training table for the tail-latency matrix: one row per (LC app,
  * load fraction) pair, columns = joint configurations. Apps must be
- * calibrated (maxQps > 0).
+ * calibrated (maxQps > 0). Row (a, f) is bitwise lcTailCurve(a,
+ * f * a.maxQps); the cells run one per index of the global pool.
  */
 Matrix lcTailTrainingTable(const std::vector<AppProfile> &apps,
                            const std::vector<double> &load_fractions,

@@ -1,6 +1,7 @@
 #include "telemetry/trace_reader.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -125,7 +126,8 @@ class Parser
         }
     }
 
-    double number()
+    /** The next number's characters, not yet converted. */
+    std::string_view numberToken()
     {
         skipSpace();
         const std::size_t start = pos_;
@@ -134,7 +136,13 @@ class Parser
             ++pos_;
         if (pos_ == start)
             fail("expected number");
-        const std::string tok(text_.substr(start, pos_ - start));
+        return text_.substr(start, pos_ - start);
+    }
+
+    /** A number token as a double (strtod rounding). */
+    double toDouble(std::string_view token) const
+    {
+        const std::string tok(token);
         char *end = nullptr;
         const double value = std::strtod(tok.c_str(), &end);
         if (end != tok.c_str() + tok.size())
@@ -155,7 +163,7 @@ class Parser
             if (!literal("null"))
                 fail("bad literal");
             break;
-          default: number();
+          default: toDouble(numberToken());
         }
     }
 
@@ -230,18 +238,46 @@ operator<<(std::ostream &os, const FieldName &name)
 /**
  * A JSON number as integer type T: unsigned fields round and clamp
  * negatives to 0, signed fields truncate. A value T cannot hold is a
- * corrupt trace, not something to wrap or saturate.
+ * corrupt trace, not something to wrap or saturate. Tokens without a
+ * fraction or exponent convert exactly, so every 64-bit value the
+ * sink writes reads back unchanged; the rest go through a double.
  */
 template <typename T>
 T
-toInteger(double d, const FieldName &name)
+toInteger(const Parser &p, std::string_view tok, const FieldName &name)
 {
-    const double bound = std::ldexp(1.0, std::numeric_limits<T>::digits);
-    const double v = std::is_unsigned_v<T> ? (d > 0.0 ? d + 0.5 : 0.0)
-                                           : std::trunc(d);
-    if (!std::isfinite(d) || v >= bound || v < -bound)
-        fatal("trace field '", name, "': ", d, " does not fit its type");
-    return static_cast<T>(v);
+    using Limits = std::numeric_limits<T>;
+    if (tok.find_first_of(".eE") != std::string_view::npos) {
+        const double d = p.toDouble(tok);
+        const double bound = std::ldexp(1.0, Limits::digits);
+        const double v = std::is_unsigned_v<T>
+            ? (d > 0.0 ? d + 0.5 : 0.0)
+            : std::trunc(d);
+        if (!std::isfinite(d) || v >= bound || v < -bound)
+            fatal("trace field '", name, "': ", d,
+                  " does not fit its type");
+        return static_cast<T>(v);
+    }
+    const bool negative = tok.starts_with('-');
+    std::string_view digits = tok;
+    if (negative || tok.starts_with('+'))
+        digits.remove_prefix(1);
+    std::uint64_t magnitude = 0;
+    const char *end = digits.data() + digits.size();
+    const auto [ptr, ec] =
+        std::from_chars(digits.data(), end, magnitude);
+    if (ptr != end || ec == std::errc::invalid_argument)
+        p.fail("malformed number");
+    if (std::is_unsigned_v<T> && negative)
+        return 0;
+    // The most negative value's magnitude is one above the maximum.
+    const std::uint64_t limit =
+        static_cast<std::uint64_t>(Limits::max()) + (negative ? 1 : 0);
+    if (ec == std::errc::result_out_of_range || magnitude > limit)
+        fatal("trace field '", name, "': ", tok, " does not fit its type");
+    // Unsigned negation, then a modular conversion: exact for every
+    // value in range, including the most negative one.
+    return static_cast<T>(negative ? 0 - magnitude : magnitude);
 }
 
 /** Read one value; one of the wrong JSON kind is skipped and leaves
@@ -267,11 +303,11 @@ read(Parser &p, T &out, const FieldName &name)
             return;
         }
     } else if (p.atNumber()) {
-        const double d = p.number();
+        const std::string_view tok = p.numberToken();
         if constexpr (std::is_integral_v<T>)
-            out = toInteger<T>(d, name);
+            out = toInteger<T>(p, tok, name);
         else
-            out = d;
+            out = p.toDouble(tok);
         return;
     }
     p.skip();

@@ -135,8 +135,16 @@ JsonlSink::flush()
 std::string
 JsonlSink::toJson(const QuantumRecord &rec)
 {
-    std::string js = "{";
+    std::string js;
     js.reserve(640);
+    appendJson(js, rec);
+    return js;
+}
+
+void
+JsonlSink::appendJson(std::string &js, const QuantumRecord &rec)
+{
+    js += '{';
     // Each group's object opens and closes as the schema walk
     // crosses it.
     const TraceGroup *open = &kTopGroup;
@@ -165,13 +173,12 @@ JsonlSink::toJson(const QuantumRecord &rec)
     if (open != &kTopGroup)
         js += '}';
     js += '}';
-    return js;
 }
 
 void
 JsonlSink::record(const QuantumRecord &rec)
 {
-    buffer_ += toJson(rec);
+    appendJson(buffer_, rec);
     buffer_ += '\n';
     ++written_;
     // Drain on the line boundary after crossing the threshold — never

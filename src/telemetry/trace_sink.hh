@@ -79,6 +79,12 @@ class JsonlSink : public TraceSink
     /** Serialize one record to its JSONL form (no newline). */
     static std::string toJson(const QuantumRecord &rec);
 
+    /**
+     * Append toJson(rec)'s bytes to @p out. Heap-free while @p out
+     * has the capacity, which is how record() writes into its buffer.
+     */
+    static void appendJson(std::string &out, const QuantumRecord &rec);
+
   private:
     std::ofstream owned_;
     std::ostream *out_;

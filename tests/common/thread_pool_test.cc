@@ -6,12 +6,13 @@
  * once, the same pool (and threads) can be reused across many
  * parallelFor calls, nested regions complete without deadlock (the
  * caller participates in its own region), and exceptions propagate to
- * the caller.
+ * the caller (the lowest failing index's, whatever the schedule).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -96,6 +97,37 @@ TEST(ThreadPoolTest, PropagatesExceptionsToCaller)
     std::atomic<int> ok{0};
     pool.parallelFor(4, [&](std::size_t) { ok.fetch_add(1); });
     EXPECT_EQ(ok.load(), 4);
+}
+
+TEST(ThreadPoolTest, RethrowsLowestFailingIndex)
+{
+    // Index 6 fails first in time; index 2 fails later but is the
+    // failure the region must report.
+    ThreadPool pool(3);
+    for (int run = 0; run < 20; ++run) {
+        std::atomic<bool> late_thrown{false};
+        try {
+            pool.parallelFor(8, [&](std::size_t i) {
+                if (i == 6) {
+                    late_thrown = true;
+                    throw std::runtime_error("6");
+                }
+                if (i == 2) {
+                    // Bounded wait: the pool owes index 6 a thread,
+                    // but not within any fixed time.
+                    using Clock = std::chrono::steady_clock;
+                    const auto give_up =
+                        Clock::now() + std::chrono::seconds(2);
+                    while (!late_thrown && Clock::now() < give_up)
+                        std::this_thread::yield();
+                    throw std::runtime_error("2");
+                }
+            });
+            ADD_FAILURE() << "region did not throw";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "2") << "run " << run;
+        }
+    }
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsASingleton)

@@ -14,7 +14,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +40,7 @@
 #include "config/job_config.hh"
 #include "search/dds.hh"
 #include "telemetry/quantum_trace.hh"
+#include "telemetry/trace_sink.hh"
 #include "../core/core_fixture.hh"
 
 namespace cuttlesys {
@@ -778,6 +783,72 @@ TEST(ZeroAlloc, TracedQuantumIsHeapFree)
         << "traced quantum touched the heap " << allocs
         << " times over " << kMeasured << " quanta";
     EXPECT_EQ(trace.summary().records, 4 + kMeasured);
+}
+
+TEST(ZeroAlloc, JsonlSinkRecordIsHeapFree)
+{
+    // A traced fleet node writes one tenancy-plus-decision line per
+    // quantum; once the sink's line buffer has grown to its working
+    // size (the warm-up drains it to the file twice), serializing a
+    // record straight into it must not touch the heap.
+    const std::string path = ::testing::TempDir() + "cs_zeroalloc_" +
+        std::to_string(::getpid()) + ".jsonl";
+    auto fill = [](telemetry::QuantumRecord &rec, std::size_t q) {
+        const double x = static_cast<double>(q);
+        rec.slice = q;
+        rec.node = q % 32;
+        rec.timeSec = 0.1 * x;
+        rec.loadFraction = 0.4 + 1e-3 * x;
+        rec.powerBudgetW = 100.0 + 0.37 * x;
+        rec.measuredTailSec = 1e-3 + 1e-6 * x;
+        rec.lcConfigIndex = q % 108;
+        rec.capVictims.assign({q % 16, (q + 5) % 16});
+        rec.executedPowerW = 90.0 + 0.11 * x;
+        rec.gmeanBips = 2.0 + 1e-4 * x;
+        rec.decisionPath = q % 2 ? telemetry::DecisionPath::Full
+                                 : telemetry::DecisionPath::FastReuse;
+        rec.invalidationReason = q % 2
+            ? telemetry::InvalidationReason::LoadDrift
+            : telemetry::InvalidationReason::None;
+        rec.quantaSinceFull = q % 5;
+        for (std::size_t j = 0; j < rec.slotAccounts.size(); ++j) {
+            const double y = static_cast<double>(j + q);
+            rec.slotAccounts[j] = static_cast<std::int32_t>((j + q) % 3);
+            rec.slotBips[j] = 1.0 + 1e-3 * y;
+            rec.slotCores[j] = 0.25 * static_cast<double>(j % 4);
+        }
+        rec.preemptedAccounts.assign({static_cast<std::int32_t>(q % 3)});
+    };
+    {
+        telemetry::JsonlSink sink(path);
+        telemetry::QuantumRecord rec;
+        rec.scheduler = "CuttleSys";
+        rec.lcConfigName = "{6,6,6}/4w";
+        rec.capVictims.reserve(2);
+        rec.slotAccounts.assign(16, 0);
+        rec.slotBips.assign(16, 0.0);
+        rec.slotCores.assign(16, 0.0);
+        rec.preemptedAccounts.reserve(1);
+        constexpr std::size_t kWarm = 600;
+        for (std::size_t q = 0; q < kWarm; ++q) {
+            fill(rec, q);
+            sink.record(rec);
+        }
+        ASSERT_GT(telemetry::JsonlSink::toJson(rec).size(), 900u);
+
+        constexpr std::size_t kMeasured = 100;
+        const std::uint64_t before = AllocProbe::newCount();
+        for (std::size_t q = kWarm; q < kWarm + kMeasured; ++q) {
+            fill(rec, q);
+            sink.record(rec);
+        }
+        const std::uint64_t allocs = AllocProbe::newCount() - before;
+        EXPECT_EQ(allocs, 0u)
+            << "JsonlSink::record touched the heap " << allocs
+            << " times over " << kMeasured << " records";
+        EXPECT_EQ(sink.written(), kWarm + kMeasured);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(ZeroAlloc, ParallelForSteadyStateIsHeapFree)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "apps/gallery.hh"
 #include "common/logging.hh"
 #include "lcsim/calibrate.hh"
@@ -90,6 +93,37 @@ TEST(CalibrateTest, RejectsBatchApps)
     EXPECT_THROW(
         measureTailAtLoad(profileByName("gcc"), 100.0, params),
         PanicError);
+}
+
+TEST(CalibrateTest, ParallelFailureNamesLowestIndexService)
+{
+    // Services run concurrently on the pool; when two cannot meet
+    // their QoS, the panic must name the earlier one in list order,
+    // as a serial loop would. The earlier one is given the slower
+    // failure (light requests: many more arrivals to simulate before
+    // its unloaded p99 is known), so it fails last in time.
+    const SystemParams params;
+    std::vector<AppProfile> apps = tailbenchGallery();
+    apps.resize(3);
+    apps[1].name = "slow-to-fail";
+    apps[1].requestMInstr = 0.5;
+    apps[1].qosMs = 1e-6;
+    apps[2].name = "quick-to-fail";
+    apps[2].requestMInstr = 40.0;
+    apps[2].qosMs = 1e-6;
+    for (int run = 0; run < 20; ++run) {
+        std::vector<AppProfile> copy = apps;
+        try {
+            calibrateMaxQps(copy, params, fastOpts());
+            ADD_FAILURE() << "calibration did not panic";
+        } catch (const PanicError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("slow-to-fail"), std::string::npos)
+                << "run " << run << ": " << what;
+            EXPECT_EQ(what.find("quick-to-fail"), std::string::npos)
+                << "run " << run << ": " << what;
+        }
+    }
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -373,6 +374,55 @@ TEST(TraceRoundTripTest, OutOfRangeIntegersThrow)
                  FatalError);
     EXPECT_THROW(parseRecord("{\"enforce\":{\"victims\":[2e19]}}"),
                  FatalError);
+}
+
+TEST(TraceRoundTripTest, SixtyFourBitIntegersRoundTripExactly)
+{
+    // Integer tokens convert exactly, not through a double (which
+    // holds only 53 bits and would round SIZE_MAX up out of range).
+    QuantumRecord rec = fullRecord();
+    rec.slice = std::numeric_limits<std::size_t>::max();
+    rec.node = (std::size_t{1} << 53) + 1;
+    rec.slotWorkflows = {(std::int64_t{1} << 53) + 1,
+                         std::numeric_limits<std::int64_t>::min(),
+                         std::numeric_limits<std::int64_t>::max()};
+    const QuantumRecord back = parseRecord(JsonlSink::toJson(rec));
+    EXPECT_EQ(back.slice, rec.slice);
+    EXPECT_EQ(back.node, rec.node);
+    EXPECT_EQ(back.slotWorkflows, rec.slotWorkflows);
+    EXPECT_EQ(parseRecord("{\"slice\":18446744073709551615}").slice,
+              std::numeric_limits<std::size_t>::max());
+    EXPECT_EQ(parseRecord("{\"lc\":{\"core_delta\":-2147483648}}")
+                  .lcCoreDelta,
+              std::numeric_limits<int>::min());
+}
+
+TEST(TraceRoundTripTest, IntegerTokensBeyondTheirTypeThrow)
+{
+    const auto message = [](const std::string &line) {
+        try {
+            parseRecord(line);
+        } catch (const FatalError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no throw");
+    };
+    const std::string slice =
+        message("{\"slice\":18446744073709551616}");
+    EXPECT_NE(slice.find("'slice'"), std::string::npos) << slice;
+    EXPECT_NE(slice.find("18446744073709551616"), std::string::npos)
+        << slice;
+    const std::string delta =
+        message("{\"lc\":{\"core_delta\":2147483648}}");
+    EXPECT_NE(delta.find("'lc.core_delta'"), std::string::npos) << delta;
+    EXPECT_THROW(parseRecord("{\"lc\":{\"core_delta\":-2147483649}}"),
+                 FatalError);
+    EXPECT_THROW(
+        parseRecord("{\"dag\":{\"done\":[9223372036854775808]}}"),
+        FatalError);
+    // A malformed integer token is a syntax error, as before.
+    EXPECT_THROW(parseRecord("{\"slice\":5-3}"), FatalError);
+    EXPECT_THROW(parseRecord("{\"slice\":-}"), FatalError);
 }
 
 TEST(TraceRoundTripTest, NonFiniteIntegersThrow)
