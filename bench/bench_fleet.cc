@@ -1,75 +1,54 @@
 /**
  * @file
- * Fleet-controller phase timing: controller overhead vs fleet size.
+ * The fleet controller at scale, timed by its own phase clocks.
  *
- * Times the per-quantum control phases — churn, view gather,
- * placement, power split, load shift — over a synthetic fleet (no
- * per-node simulators, so the rows isolate pure controller overhead)
- * at N = 16/64/256/1024 nodes. Two controllers drive identical state
- * machines:
+ * Every row comes from the shipped FleetController driving full
+ * per-node simulators through the compressed diurnal day. Two A/Bs
+ * run per fleet size:
  *
- *  - "serial" reproduces the pre-rework controller: a sequential
- *    churn RNG drawn node-major, O(slots) vacancy scans in the view
- *    gather, a full O(N) policy rescan per placed job, and
- *    single-threaded power/shift loops.
- *  - "parallel" is the shipped path, built from the production
- *    components: counter-based JobChurnEngine draws staged
- *    block-parallel in per-worker arenas, O(1) vacancy counters,
- *    PlacementRound's score-once-commit-through-a-heap placement,
- *    ClusterPowerManager's block-parallel split, and the parallel
- *    load scan.
+ *  - incremental decisions, at N = 16/64/256/1024: stability gate +
+ *    memo cache on vs. --no-fastpath always-full. Reported: the mean
+ *    per-node decision time (the scheduler-side phases: ingest,
+ *    reconstruct, search, enforce), the fast-path hit rate, and the
+ *    QoS / batch-Ginstr deltas the reuse costs;
+ *  - DAG data gravity, at N = 16/64/256: churned DAG workflow
+ *    arrivals under locality-aware vs locality-blind placement
+ *    (transfers modeled and charged in both). Reported: completed
+ *    workflows, gmean makespan, artifact hit rate, transfer volume,
+ *    and the QoS / Ginstr deltas.
  *
- * A determinism section replays the parallel controller at pool
- * widths 1/4/8 and folds every quantum's full state (occupancy
- * bytes, budget and load bits, counters) into a digest that must
- * match bitwise across widths (DESIGN.md §12). A steady-state
- * allocation row counts heap traffic per parallel quantum via the
- * cs_alloc_probe operator-new replacement (must be 0).
+ * From every one of those runs the controller table reports the
+ * median µs per cluster quantum by phase (churn, views, place,
+ * budget, shift, memo, step, gather), read from
+ * FleetController::phaseSeconds() after each quantum past warm-up.
+ * The wall times are reported, never gated: the controller's scaling
+ * is gated by deterministic score counters
+ * (PlacementRoundTest.ScoresOncePerVacantNodeThenOncePerBooking), its
+ * width determinism by the fleet replay checks, and its heap traffic
+ * by the ZeroAlloc tests.
  *
- * An incremental-decisions section then drives the *real*
- * FleetController (full per-node simulators) through the compressed
- * diurnal day twice per fleet size — stability gate + memo cache on
- * vs. --no-fastpath always-full — and reports the mean per-node
- * decision time (the scheduler-side phases: ingest, reconstruct,
- * search, enforce), the parallel node-step wall time per cluster
- * quantum, the fast-path hit rate, and the QoS / batch-Ginstr deltas
- * the reuse costs.
+ * --smoke runs N = 16 only and exits nonzero unless the incremental
+ * A/B shows >= 2.5x mean decision-time reduction at a >= 50% hit rate
+ * with QoS within 1 point and batch Ginstr within 1%, and the DAG A/B
+ * completes workflows with locality-aware gmean makespan strictly
+ * below blind at unchanged QoS and batch throughput.
  *
- * A dag data-gravity section runs the real fleet with churned DAG
- * workflow arrivals twice — locality-aware placement vs the
- * locality-blind baseline (transfers modeled and charged in both) —
- * and reports completed workflows, gmean makespan, artifact hit
- * rate, transfer volume, and the QoS / Ginstr deltas.
+ * Writes BENCH_fleet.json to the working directory. The committed
+ * copy comes from the full sweep run at the repository root:
  *
- * --smoke: exit nonzero unless the N=256 combined controller-phase
- * speedup is >= 3x, the width digests agree, the steady state is
- * allocation-free, the incremental A/B shows >= 2.5x mean
- * decision-time reduction at a >= 50% hit rate with QoS within 1
- * point and batch Ginstr within 1%, and the dag A/B completes
- * workflows with locality-aware gmean makespan strictly below blind
- * at unchanged QoS and batch throughput. Emits BENCH_fleet.json
- * next to stdout.
+ *   ./build/bench/bench_fleet
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "apps/app_profile.hh"
 #include "apps/gallery.hh"
-#include "cluster/churn.hh"
 #include "cluster/fleet.hh"
-#include "cluster/node.hh"
-#include "cluster/placement.hh"
-#include "cluster/power_manager.hh"
-#include "common/alloc_probe.hh"
-#include "common/arena.hh"
-#include "common/thread_pool.hh"
+#include "common/logging.hh"
+#include "common/stats.hh"
 #include "core/training.hh"
 #include "lcsim/calibrate.hh"
 #include "power/power_model.hh"
@@ -80,678 +59,9 @@ using namespace cuttlesys::cluster;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-// A high-churn rack: two arrivals per node per quantum against a
-// matching departure rate, holding occupancy near 52% — placement
-// pressure scales with N, which is exactly the load the rework
-// targets.
-constexpr std::size_t kSlots = 16;          //!< batch slots per node
-constexpr double kDepartureProb = 0.24;     //!< per occupied slot
-constexpr double kArrivalsPerNode = 2.0;    //!< mean per quantum
-constexpr double kBudgetPerNodeW = 95.0;
-constexpr double kNodeFloorW = 30.0;
-constexpr double kNodeCapW = 130.0;
-constexpr std::size_t kChunk = 32;          //!< nodes per block
-constexpr double kTwoPi = 6.283185307179586;
-
-/** SplitMix64 finisher, used for the synthetic state and digests. */
-std::uint64_t
-mixBits(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-/** The sequential RNG the pre-rework churn phase consumed. */
-struct SeqRng
-{
-    std::uint64_t state;
-
-    std::uint64_t
-    next()
-    {
-        state += 0x9e3779b97f4a7c15ULL;
-        return mixBits(state);
-    }
-
-    double
-    uniform()
-    {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
-    }
-};
-
-/** Small pool of short-named profiles churn arrivals draw from. */
-std::vector<AppProfile>
-syntheticPool()
-{
-    std::vector<AppProfile> pool(8);
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-        pool[i].name = "batch-";
-        pool[i].name += static_cast<char>('a' + i);
-        pool[i].seed = 101 + i;
-        pool[i].apki = 2.0 + static_cast<double>(i);
-    }
-    return pool;
-}
-
-/** Replica i's offered LC load at @p quantum (phase-staggered day). */
-double
-offeredLoad(std::uint64_t quantum, std::size_t i, std::size_t n)
-{
-    const double phase = static_cast<double>(quantum) / 96.0 +
-        static_cast<double>(i) / static_cast<double>(n);
-    return 0.5 + 0.45 * std::sin(kTwoPi * phase);
-}
-
-/**
- * The controller-visible cluster state both implementations drive:
- * planned occupancy, per-quantum views, the budget feedback loop, and
- * the FIFO arrival queue. The parallel path additionally maintains
- * the O(1) vacancy counters and first-vacant hints the reworked
- * ClusterNode keeps; the serial path ignores them and re-scans, as
- * the pre-rework controller did.
- */
-struct SyntheticFleet
-{
-    std::size_t n = 0;
-    std::size_t maxPending = 0;
-    std::vector<std::uint8_t> occupied;    //!< n x kSlots
-    std::vector<std::size_t> freeCount;    //!< per node (O(1) gather)
-    std::vector<std::size_t> firstVacant;  //!< per node hint
-    std::vector<NodeView> views;
-    std::vector<double> budgets;           //!< fed back into views
-    std::vector<double> loads;
-    std::vector<PendingJob> pending;
-    std::size_t pendingHead = 0;
-    std::uint64_t quantum = 0;
-    std::size_t arrivals = 0;
-    std::size_t departures = 0;
-    std::size_t placements = 0;
-    std::size_t dropped = 0;
-
-    std::size_t queued() const { return pending.size() - pendingHead; }
-};
-
-SyntheticFleet
-makeFleet(std::size_t n, std::uint64_t seed)
-{
-    SyntheticFleet st;
-    st.n = n;
-    st.maxPending = 2 * n;
-    st.occupied.assign(n * kSlots, 0);
-    st.freeCount.assign(n, kSlots);
-    st.firstVacant.assign(n, 0);
-    st.views.resize(n);
-    st.budgets.assign(n, kBudgetPerNodeW);
-    st.loads.assign(n, 0.0);
-    st.pending.reserve(st.maxPending + n);
-
-    // Start near the churn equilibrium (~52% occupied) so the timed
-    // quanta measure steady-state phase work from the first rep.
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t s = 0; s < kSlots; ++s) {
-            const std::uint64_t h =
-                mixBits(seed ^ (i * kSlots + s) * 0x9e3779b97f4a7c15ULL);
-            if ((static_cast<double>(h >> 11) * 0x1.0p-53) < 0.52) {
-                st.occupied[i * kSlots + s] = 1;
-                --st.freeCount[i];
-            }
-        }
-        std::size_t v = 0;
-        while (v < kSlots && st.occupied[i * kSlots + v])
-            ++v;
-        st.firstVacant[i] = v;
-    }
-    return st;
-}
-
-/** Fill node @p i's view for this quantum (shared by both paths). */
-void
-fillView(SyntheticFleet &st, std::size_t i, std::size_t free_slots)
-{
-    NodeView &v = st.views[i];
-    const double load = offeredLoad(st.quantum, i, st.n);
-    v.node = i;
-    v.freeSlots = free_slots;
-    v.occupiedSlots = kSlots - free_slots;
-    v.loadFraction = load;
-    v.budgetW = st.budgets[i];
-    v.measuredPowerW = 40.0 + 55.0 * load +
-        3.0 * static_cast<double>(v.occupiedSlots);
-    v.headroomW = v.budgetW - v.measuredPowerW;
-    v.qosViolated = load > 0.85;
-    v.gmeanBips = 1.0;
-    v.stepped = true;
-}
-
-/** Serial donor/receiver pairing and commit (shared by both paths). */
-void
-shiftCommit(SyntheticFleet &st)
-{
-    std::size_t receiver = PlacementPolicy::kNoNode;
-    for (std::size_t i = 0; i < st.n; ++i) {
-        if (st.views[i].qosViolated)
-            continue;
-        if (receiver == PlacementPolicy::kNoNode ||
-            st.loads[i] < st.loads[receiver]) {
-            receiver = i;
-        }
-    }
-    if (receiver == PlacementPolicy::kNoNode)
-        return;
-    for (std::size_t i = 0; i < st.n; ++i) {
-        if (!st.views[i].qosViolated || i == receiver)
-            continue;
-        const double moved = st.loads[i] * 0.15;
-        st.loads[i] -= moved;
-        st.loads[receiver] += moved;
-    }
-}
-
-/** FIFO-queue compaction at end of quantum (shared by both paths). */
-void
-compactPending(SyntheticFleet &st)
-{
-    if (st.pendingHead == st.pending.size()) {
-        st.pending.clear();
-        st.pendingHead = 0;
-    } else if (st.pendingHead >= 32 &&
-               st.pendingHead * 2 >= st.pending.size()) {
-        st.pending.erase(st.pending.begin(),
-                         st.pending.begin() +
-                             static_cast<std::ptrdiff_t>(st.pendingHead));
-        st.pendingHead = 0;
-    }
-}
-
-enum PhaseIdx { kChurn, kGather, kPlace, kPower, kShift, kNumPhases };
-
-const char *const kPhaseNames[kNumPhases] = {
-    "churn", "gather", "place", "power", "shift",
-};
-
-/** Per-phase accumulated microseconds for one configuration. */
-struct PhaseUs
-{
-    double us[kNumPhases] = {};
-
-    double
-    total() const
-    {
-        double sum = 0.0;
-        for (const double v : us)
-            sum += v;
-        return sum;
-    }
-};
-
-class PhaseTimer
-{
-  public:
-    PhaseTimer(PhaseUs &acc, PhaseIdx phase)
-        : acc_(acc), phase_(phase), start_(Clock::now())
-    {
-    }
-
-    ~PhaseTimer()
-    {
-        acc_.us[phase_] +=
-            std::chrono::duration<double, std::micro>(Clock::now() -
-                                                      start_).count();
-    }
-
-  private:
-    PhaseUs &acc_;
-    PhaseIdx phase_;
-    Clock::time_point start_;
-};
-
-/**
- * The pre-rework controller quantum: every loop single-threaded,
- * every draw from one sequential stream, every vacancy re-scanned.
- */
-struct SerialController
-{
-    const PlacementPolicy &policy;
-    const std::vector<AppProfile> &pool;
-    SeqRng rng;
-
-    void
-    quantum(SyntheticFleet &st, PhaseUs &acc)
-    {
-        const std::size_t n = st.n;
-        {
-            PhaseTimer t(acc, kChurn);
-            // Departures: one Bernoulli per occupied slot, node-major
-            // off the shared stream.
-            for (std::size_t i = 0; i < n; ++i) {
-                for (std::size_t s = 0; s < kSlots; ++s) {
-                    std::uint8_t &occ = st.occupied[i * kSlots + s];
-                    if (occ && rng.uniform() < kDepartureProb) {
-                        occ = 0;
-                        ++st.departures;
-                    }
-                }
-            }
-            // Arrivals: one cluster-wide count, then pool draws.
-            const double mean =
-                kArrivalsPerNode * static_cast<double>(n);
-            const double whole = std::floor(mean);
-            std::size_t count = static_cast<std::size_t>(whole);
-            if (rng.uniform() < mean - whole)
-                ++count;
-            for (std::size_t k = 0; k < count; ++k) {
-                if (st.queued() >= st.maxPending) {
-                    ++st.dropped;
-                    continue;
-                }
-                PendingJob job;
-                job.profile = pool[rng.next() % pool.size()];
-                job.profile.seed ^= rng.next();
-                job.submitSlice = st.quantum;
-                st.pending.push_back(std::move(job));
-                ++st.arrivals;
-            }
-        }
-        {
-            PhaseTimer t(acc, kGather);
-            // O(slots) vacancy scan per node, serial.
-            for (std::size_t i = 0; i < n; ++i) {
-                std::size_t free_slots = 0;
-                for (std::size_t s = 0; s < kSlots; ++s) {
-                    if (!st.occupied[i * kSlots + s])
-                        ++free_slots;
-                }
-                fillView(st, i, free_slots);
-            }
-        }
-        {
-            PhaseTimer t(acc, kPlace);
-            // Full policy rescan per job, O(slots) slot scan per
-            // booking.
-            while (st.pendingHead < st.pending.size()) {
-                const std::size_t target =
-                    policy.place(st.pending[st.pendingHead], st.views);
-                if (target == PlacementPolicy::kNoNode)
-                    break;
-                std::size_t slot = 0;
-                while (st.occupied[target * kSlots + slot])
-                    ++slot;
-                st.occupied[target * kSlots + slot] = 1;
-                --st.views[target].freeSlots;
-                ++st.views[target].occupiedSlots;
-                ++st.placements;
-                ++st.pendingHead;
-            }
-            compactPending(st);
-        }
-        {
-            PhaseTimer t(acc, kPower);
-            // The pre-rework ClusterPowerManager::split, verbatim
-            // serial: weights, left-fold sum, fill, clip/redistribute.
-            double weightSum = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const NodeView &v = st.views[i];
-                double demand = v.stepped
-                    ? std::max(v.measuredPowerW, kNodeFloorW)
-                    : 1.0;
-                if (v.qosViolated)
-                    demand += 10.0;
-                st.loads[i] = demand; // reuse as weight scratch
-                weightSum += demand;
-            }
-            const double distributable =
-                (kBudgetPerNodeW - kNodeFloorW) *
-                static_cast<double>(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                const double share = weightSum > 0.0
-                    ? distributable * st.loads[i] / weightSum
-                    : distributable / static_cast<double>(n);
-                st.budgets[i] = kNodeFloorW + share;
-            }
-            double excess = 0.0;
-            std::size_t uncapped = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (st.budgets[i] > kNodeCapW) {
-                    excess += st.budgets[i] - kNodeCapW;
-                    st.budgets[i] = kNodeCapW;
-                } else {
-                    ++uncapped;
-                }
-            }
-            if (excess > 0.0 && uncapped > 0) {
-                const double share =
-                    excess / static_cast<double>(uncapped);
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (st.budgets[i] < kNodeCapW) {
-                        st.budgets[i] =
-                            std::min(st.budgets[i] + share, kNodeCapW);
-                    }
-                }
-            }
-        }
-        {
-            PhaseTimer t(acc, kShift);
-            for (std::size_t i = 0; i < n; ++i)
-                st.loads[i] = offeredLoad(st.quantum + 1, i, st.n);
-            shiftCommit(st);
-        }
-        ++st.quantum;
-    }
-};
-
-/**
- * The shipped controller quantum, built from the production
- * components: parallel scans with per-worker arena staging, ordered
- * serial commits (the FleetController phase structure without the
- * per-node simulators).
- */
-struct ParallelController
-{
-    ThreadPool &pool;
-    const PlacementPolicy &policy;
-    JobChurnEngine churn;
-    ClusterPowerManager power;
-    PlacementRound round;
-    WorkerArenaSet arenas;
-
-    struct NodePlan
-    {
-        std::uint16_t *departSlots = nullptr;
-        std::uint16_t numDeparts = 0;
-        std::uint16_t arrivals = 0;
-    };
-    std::vector<NodePlan> plan;
-
-    ParallelController(ThreadPool &pool_ref,
-                       const PlacementPolicy &placement,
-                       const std::vector<AppProfile> &job_pool,
-                       std::size_t n, std::uint64_t seed)
-        : pool(pool_ref), policy(placement),
-          churn(job_pool, n, seed,
-                ChurnOptions{.departureProbability = kDepartureProb,
-                             .meanArrivalsPerQuantum =
-                                 kArrivalsPerNode *
-                                 static_cast<double>(n),
-                             .maxPendingJobs = 2 * n,
-                             .tenantArrivalWeights = {}}),
-          power(PowerPolicy::HeadroomRebalance,
-                PowerManagerOptions{
-                    .rackBudgetW =
-                        kBudgetPerNodeW * static_cast<double>(n),
-                    .nodeFloorW = kNodeFloorW,
-                    .nodeCapW = kNodeCapW,
-                    .qosBoostW = 10.0}),
-          arenas(pool_ref.slotCount())
-    {
-        plan.resize(n);
-        // Worst-case staging prewarm (one worker scanning the whole
-        // fleet), as the production FleetController does: the worker
-        // schedule varies, so without it an unlucky quantum grows an
-        // arena mid-measurement.
-        for (std::size_t s = 0; s < arenas.size(); ++s)
-            arenas.at(s).alloc<std::uint16_t>(n * kSlots);
-        arenas.resetAll();
-    }
-
-    void
-    quantum(SyntheticFleet &st, PhaseUs &acc)
-    {
-        const std::size_t n = st.n;
-        {
-            PhaseTimer t(acc, kChurn);
-            // Parallel scan: stage per-node departure lists in the
-            // worker's arena; every draw is a pure function of its
-            // coordinates.
-            arenas.resetAll();
-            pool.parallelChunks(
-                n, kChunk,
-                [this, &st](std::size_t, std::size_t begin,
-                            std::size_t end) {
-                    ScratchArena &arena =
-                        arenas.at(ThreadPool::currentSlot());
-                    for (std::size_t i = begin; i < end; ++i) {
-                        std::uint16_t *stage =
-                            arena.alloc<std::uint16_t>(kSlots);
-                        std::uint16_t count = 0;
-                        for (std::size_t s = 0; s < kSlots; ++s) {
-                            if (st.occupied[i * kSlots + s] &&
-                                churn.departs(st.quantum, i, s)) {
-                                stage[count++] =
-                                    static_cast<std::uint16_t>(s);
-                            }
-                        }
-                        plan[i].departSlots = stage;
-                        plan[i].numDeparts = count;
-                        plan[i].arrivals =
-                            static_cast<std::uint16_t>(
-                                churn.arrivalsAt(st.quantum, i));
-                    }
-                });
-            // Serial merge in node-index order.
-            for (std::size_t i = 0; i < n; ++i) {
-                for (std::uint16_t d = 0; d < plan[i].numDeparts;
-                     ++d) {
-                    const std::size_t s = plan[i].departSlots[d];
-                    st.occupied[i * kSlots + s] = 0;
-                    ++st.freeCount[i];
-                    st.firstVacant[i] =
-                        std::min(st.firstVacant[i], s);
-                    ++st.departures;
-                }
-                for (std::uint16_t k = 0; k < plan[i].arrivals;
-                     ++k) {
-                    if (st.queued() >= st.maxPending) {
-                        ++st.dropped;
-                        continue;
-                    }
-                    PendingJob job;
-                    job.profile = churn.drawJobAt(st.quantum, i, k);
-                    job.submitSlice = st.quantum;
-                    st.pending.push_back(std::move(job));
-                    ++st.arrivals;
-                }
-            }
-        }
-        {
-            PhaseTimer t(acc, kGather);
-            // O(1) vacancy counters, block-parallel disjoint writes.
-            pool.parallelChunks(
-                n, kChunk,
-                [&st](std::size_t, std::size_t begin,
-                      std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i)
-                        fillView(st, i, st.freeCount[i]);
-                });
-        }
-        {
-            PhaseTimer t(acc, kPlace);
-            // Score once in parallel, commit the queue through the
-            // heap.
-            round.begin(policy, st.views, pool);
-            while (st.pendingHead < st.pending.size()) {
-                const std::size_t target = round.placeOne();
-                if (target == PlacementPolicy::kNoNode)
-                    break;
-                std::size_t &hint = st.firstVacant[target];
-                st.occupied[target * kSlots + hint] = 1;
-                --st.freeCount[target];
-                while (hint < kSlots &&
-                       st.occupied[target * kSlots + hint]) {
-                    ++hint;
-                }
-                ++st.placements;
-                ++st.pendingHead;
-            }
-            compactPending(st);
-        }
-        {
-            PhaseTimer t(acc, kPower);
-            power.split(st.views, st.budgets, pool);
-        }
-        {
-            PhaseTimer t(acc, kShift);
-            pool.parallelChunks(
-                n, kChunk,
-                [&st](std::size_t, std::size_t begin,
-                      std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                        st.loads[i] =
-                            offeredLoad(st.quantum + 1, i, st.n);
-                    }
-                });
-            shiftCommit(st);
-        }
-        ++st.quantum;
-    }
-};
-
-/** Fold one quantum's full controller state into a digest. */
-std::uint64_t
-digestState(const SyntheticFleet &st, std::uint64_t digest)
-{
-    for (const std::uint8_t occ : st.occupied)
-        digest = mixBits(digest ^ occ);
-    for (const double v : st.budgets) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        digest = mixBits(digest ^ bits);
-    }
-    for (const double v : st.loads) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        digest = mixBits(digest ^ bits);
-    }
-    digest = mixBits(digest ^ st.queued());
-    digest = mixBits(digest ^ st.arrivals);
-    digest = mixBits(digest ^ st.departures);
-    digest = mixBits(digest ^ st.placements);
-    digest = mixBits(digest ^ st.dropped);
-    return digest;
-}
-
-constexpr std::size_t kWarmQuanta = 3;
-
-/** One curve point: best-of-reps per-quantum phase times. */
-struct CurvePoint
-{
-    std::size_t nodes = 0;
-    PhaseUs serial;    //!< per-quantum, best rep
-    PhaseUs parallel;  //!< per-quantum, best rep
-    double speedup = 0.0;
-};
-
-CurvePoint
-measure(std::size_t n, std::size_t quanta, std::size_t reps,
-        const PlacementPolicy &policy,
-        const std::vector<AppProfile> &job_pool)
-{
-    CurvePoint pt;
-    pt.nodes = n;
-    double bestSerial = 1e18;
-    double bestParallel = 1e18;
-
-    for (std::size_t r = 0; r < reps; ++r) {
-        SyntheticFleet st = makeFleet(n, 42);
-        SerialController ctl{policy, job_pool, SeqRng{977 + r}};
-        PhaseUs warm;
-        for (std::size_t q = 0; q < kWarmQuanta; ++q)
-            ctl.quantum(st, warm);
-        PhaseUs acc;
-        for (std::size_t q = 0; q < quanta; ++q)
-            ctl.quantum(st, acc);
-        if (acc.total() < bestSerial) {
-            bestSerial = acc.total();
-            for (std::size_t p = 0; p < kNumPhases; ++p) {
-                pt.serial.us[p] =
-                    acc.us[p] / static_cast<double>(quanta);
-            }
-        }
-    }
-    for (std::size_t r = 0; r < reps; ++r) {
-        SyntheticFleet st = makeFleet(n, 42);
-        ParallelController ctl(ThreadPool::global(), policy,
-                               job_pool, n, 977 + r);
-        PhaseUs warm;
-        for (std::size_t q = 0; q < kWarmQuanta; ++q)
-            ctl.quantum(st, warm);
-        PhaseUs acc;
-        for (std::size_t q = 0; q < quanta; ++q)
-            ctl.quantum(st, acc);
-        if (acc.total() < bestParallel) {
-            bestParallel = acc.total();
-            for (std::size_t p = 0; p < kNumPhases; ++p) {
-                pt.parallel.us[p] =
-                    acc.us[p] / static_cast<double>(quanta);
-            }
-        }
-    }
-    pt.speedup = pt.serial.total() / pt.parallel.total();
-    return pt;
-}
-
-/**
- * Replay the parallel controller at several pool widths; the state
- * digest after every quantum must agree bitwise across widths.
- */
-bool
-deterministicAcrossWidths(std::size_t n, std::size_t quanta,
-                          const PlacementPolicy &policy,
-                          const std::vector<AppProfile> &job_pool,
-                          const std::vector<std::size_t> &widths)
-{
-    std::uint64_t reference = 0;
-    bool haveReference = false;
-    for (const std::size_t w : widths) {
-        ThreadPool pool(w);
-        SyntheticFleet st = makeFleet(n, 42);
-        ParallelController ctl(pool, policy, job_pool, n, 977);
-        PhaseUs acc;
-        std::uint64_t digest = 0;
-        for (std::size_t q = 0; q < quanta; ++q) {
-            ctl.quantum(st, acc);
-            digest = digestState(st, digest);
-        }
-        if (!haveReference) {
-            reference = digest;
-            haveReference = true;
-        } else if (digest != reference) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/** Heap allocations per steady-state parallel quantum (must be 0). */
-std::uint64_t
-steadyStateAllocs(std::size_t n, const PlacementPolicy &policy,
-                  const std::vector<AppProfile> &job_pool)
-{
-    SyntheticFleet st = makeFleet(n, 42);
-    ParallelController ctl(ThreadPool::global(), policy, job_pool, n,
-                           977);
-    PhaseUs acc;
-    for (std::size_t q = 0; q < 4; ++q)
-        ctl.quantum(st, acc);
-
-    constexpr std::size_t kSteady = 8;
-    const std::uint64_t before = AllocProbe::newCount();
-    for (std::size_t q = 0; q < kSteady; ++q)
-        ctl.quantum(st, acc);
-    const std::uint64_t after = AllocProbe::newCount();
-    return (after - before) / kSteady;
-}
-
-// ---------------------------------------------------------------------
-// Incremental decisions: the real FleetController, A/B vs always-full.
-
-/** Quanta of warm-up excluded from the steady-state decision means
- *  (cold-start fulls and the first anchor updates). */
-constexpr std::size_t kAbWarmQuanta = 4;
+/** Quanta of warm-up excluded from every steady-state mean and
+ *  median (cold-start fulls and the first anchor updates). */
+constexpr std::size_t kWarmQuanta = 4;
 
 /** Everything the offline stack needs to build real fleets once. */
 struct RealStack
@@ -782,23 +92,79 @@ struct RealStack
     }
 };
 
+/**
+ * One real-fleet run: its outcome and the controller's clocks, as
+ * medians over the steady quanta (a shared host's scheduling noise
+ * lands in a few quanta; the median keeps it out of the row).
+ */
+struct FleetRun
+{
+    FleetSummary summary;
+    FleetPhaseSeconds phaseUs{}; //!< median µs per cluster quantum
+    double controllerUs = 0.0;   //!< median of all phases but step
+    double quantumUs = 0.0;      //!< median of the whole quantum
+};
+
+/** Drive @p fleet through its day, reading its phase clocks after
+ *  every quantum past the warm-up. */
+FleetRun
+runFleet(FleetController &fleet)
+{
+    CS_ASSERT(fleet.numQuanta() > kWarmQuanta,
+              "day shorter than the warm-up");
+    std::vector<double> perPhase[kNumFleetPhases];
+    std::vector<double> controller;
+    std::vector<double> quantum;
+    FleetPhaseSeconds last{};
+    while (!fleet.done()) {
+        fleet.stepQuantum();
+        const FleetPhaseSeconds &now = fleet.phaseSeconds();
+        if (fleet.nextQuantum() > kWarmQuanta) {
+            double total = 0.0;
+            for (std::size_t p = 0; p < kNumFleetPhases; ++p) {
+                const double us = (now[p] - last[p]) * 1e6;
+                perPhase[p].push_back(us);
+                total += us;
+            }
+            const double step =
+                perPhase[static_cast<std::size_t>(FleetPhase::Step)]
+                    .back();
+            controller.push_back(total - step);
+            quantum.push_back(total);
+        }
+        last = now;
+    }
+    FleetRun run;
+    run.summary = fleet.summary();
+    for (std::size_t p = 0; p < kNumFleetPhases; ++p)
+        run.phaseUs[p] = percentile(perPhase[p], 50.0);
+    run.controllerUs = percentile(controller, 50.0);
+    run.quantumUs = percentile(quantum, 50.0);
+    return run;
+}
+
+/** Scheduler iteration caps that keep the A/Bs benchable at scale. */
+void
+benchSchedulerCaps(FleetOptions &opts)
+{
+    opts.scheduler.sgdBips.maxIterations = 40;
+    opts.scheduler.sgdPower.maxIterations = 40;
+    opts.scheduler.sgdLatency.maxIterations = 40;
+    opts.scheduler.dds.maxIterations = 25;
+    opts.scheduler.dds.threads = 4;
+}
+
+// ---------------------------------------------------------------------
+// Incremental decisions: stability gate + memo vs always-full.
+
 /** One arm of the A/B: a full diurnal fleet run, instrumented. */
 struct AbArm
 {
+    FleetRun run;
     double decisionUs = 0.0; //!< mean per-node decision time, steady
     double phaseUs[telemetry::kNumPhases] = {}; //!< per node-quantum
-    double stepUs = 0.0;     //!< mean cluster-quantum wall time
     std::size_t invalidations[telemetry::kNumInvalidationReasons] =
         {}; //!< why full quanta ran (steady records)
-    FleetSummary summary;
-    // Per-slice aggregates over nodes (CS_AB_DEBUG diagnostics).
-    std::vector<double> sliceBips;     //!< sum of slot BIPS
-    std::vector<double> sliceLcCores;  //!< sum of LC cores
-    std::vector<double> sliceLcWays;   //!< sum of LC cache ways
-    std::vector<std::size_t> sliceFast; //!< fast-reuse nodes
-    std::vector<double> sliceCoreW;    //!< sum of slot core widths
-    std::vector<double> slicePower;    //!< sum of executed power
-    std::vector<std::size_t> sliceVict; //!< sum of cap victims
 };
 
 AbArm
@@ -838,11 +204,7 @@ runAbArm(const RealStack &stack, std::size_t n, std::size_t quanta,
     // to a profile-oscillator microbenchmark.
     opts.phaseDriftPeriodSec = 28.0 * stack.params.timesliceSec;
     opts.sink = &sink;
-    opts.scheduler.sgdBips.maxIterations = 40;
-    opts.scheduler.sgdPower.maxIterations = 40;
-    opts.scheduler.sgdLatency.maxIterations = 40;
-    opts.scheduler.dds.maxIterations = 25;
-    opts.scheduler.dds.threads = 4;
+    benchSchedulerCaps(opts);
     if (!fastpath) {
         opts.scheduler.fastPath = false;
         opts.memoCache = false;
@@ -853,51 +215,15 @@ runAbArm(const RealStack &stack, std::size_t n, std::size_t quanta,
                           stack.split.test, stack.nodeMaxW, backfill,
                           opts);
     AbArm arm;
-    double stepUsSum = 0.0;
-    std::size_t steps = 0;
-    while (!fleet.done()) {
-        const Clock::time_point t0 = Clock::now();
-        fleet.stepQuantum();
-        const double us =
-            std::chrono::duration<double, std::micro>(Clock::now() -
-                                                      t0).count();
-        if (fleet.nextQuantum() > kAbWarmQuanta) {
-            stepUsSum += us;
-            ++steps;
-        }
-    }
-    arm.summary = fleet.summary();
-    arm.stepUs = steps > 0 ? stepUsSum / static_cast<double>(steps)
-                           : 0.0;
+    arm.run = runFleet(fleet);
 
     // Mean per-node decision time over the steady records: the
     // scheduler-side phases only (ingest + reconstruct + search +
     // enforce) — profiling and slice execution are driver cost either
     // way.
     std::size_t records = 0;
-    arm.sliceBips.assign(quanta, 0.0);
-    arm.sliceLcCores.assign(quanta, 0.0);
-    arm.sliceLcWays.assign(quanta, 0.0);
-    arm.sliceFast.assign(quanta, 0);
-    arm.sliceCoreW.assign(quanta, 0.0);
-    arm.slicePower.assign(quanta, 0.0);
-    arm.sliceVict.assign(quanta, 0);
     for (const telemetry::QuantumRecord &r : sink.records()) {
-        if (r.slice < quanta) {
-            for (double b : r.slotBips)
-                arm.sliceBips[r.slice] += b;
-            arm.sliceLcCores[r.slice] +=
-                static_cast<double>(r.lcCores);
-            arm.sliceLcWays[r.slice] +=
-                JobConfig::fromIndex(r.lcConfigIndex).cacheWays();
-            if (r.decisionPath == telemetry::DecisionPath::FastReuse)
-                ++arm.sliceFast[r.slice];
-            for (double c : r.slotCores)
-                arm.sliceCoreW[r.slice] += c;
-            arm.slicePower[r.slice] += r.executedPowerW;
-            arm.sliceVict[r.slice] += r.capVictims.size();
-        }
-        if (r.slice < kAbWarmQuanta)
+        if (r.slice < kWarmQuanta)
             continue;
         ++records;
         if (r.decisionPath != telemetry::DecisionPath::None &&
@@ -942,41 +268,22 @@ measureIncremental(const RealStack &stack, std::size_t n,
     pt.quanta = quanta;
     pt.off = runAbArm(stack, n, quanta, /*fastpath=*/false);
     pt.on = runAbArm(stack, n, quanta, /*fastpath=*/true);
+    const FleetSummary &on = pt.on.run.summary;
+    const FleetSummary &off = pt.off.run.summary;
     pt.decisionSpeedup = pt.on.decisionUs > 0.0
         ? pt.off.decisionUs / pt.on.decisionUs
         : 0.0;
-    pt.qosDeltaPts =
-        pt.on.summary.clusterQosPct - pt.off.summary.clusterQosPct;
-    pt.ginstrRelDelta = pt.off.summary.totalBatchInstructions > 0.0
-        ? std::fabs(pt.on.summary.totalBatchInstructions /
-                        pt.off.summary.totalBatchInstructions -
+    pt.qosDeltaPts = on.clusterQosPct - off.clusterQosPct;
+    pt.ginstrRelDelta = off.totalBatchInstructions > 0.0
+        ? std::fabs(on.totalBatchInstructions /
+                        off.totalBatchInstructions -
                     1.0)
         : 0.0;
-    if (std::getenv("CS_AB_DEBUG") != nullptr) {
-        std::printf("\nCS_AB_DEBUG per-slice (N=%zu): on vs off\n",
-                    n);
-        std::printf("%6s %10s %10s %7s %8s %8s %8s %8s %4s %4s "
-                    "%5s\n",
-                    "slice", "bips_on", "bips_off", "d%",
-                    "coreW_on", "coreW_off", "pw_on", "pw_off",
-                    "v_on", "v_off", "fast");
-        for (std::size_t s = 0; s < quanta; ++s) {
-            const double d = pt.off.sliceBips[s] > 0.0
-                ? 100.0 * (pt.on.sliceBips[s] /
-                               pt.off.sliceBips[s] - 1.0)
-                : 0.0;
-            std::printf(
-                "%6zu %10.2f %10.2f %+6.2f %8.2f %8.2f %8.1f "
-                "%8.1f %4zu %4zu %5zu\n",
-                s, pt.on.sliceBips[s], pt.off.sliceBips[s], d,
-                pt.on.sliceCoreW[s], pt.off.sliceCoreW[s],
-                pt.on.slicePower[s], pt.off.slicePower[s],
-                pt.on.sliceVict[s], pt.off.sliceVict[s],
-                pt.on.sliceFast[s]);
-        }
-    }
     return pt;
 }
+
+// ---------------------------------------------------------------------
+// DAG data gravity: locality-aware vs locality-blind placement.
 
 /**
  * One arm of the data-gravity A/B: the same calm diurnal fleet, but
@@ -986,7 +293,7 @@ measureIncremental(const RealStack &stack, std::size_t n,
  * per-node resident-byte deltas — so any makespan gap is the gravity
  * term's doing.
  */
-FleetSummary
+FleetRun
 runDagArm(const RealStack &stack, std::size_t n, std::size_t quanta,
           bool aware)
 {
@@ -1007,11 +314,7 @@ runDagArm(const RealStack &stack, std::size_t n, std::size_t quanta,
     opts.churn.departureProbability = 0.06;
     opts.churn.meanArrivalsPerQuantum =
         0.5 * static_cast<double>(n);
-    opts.scheduler.sgdBips.maxIterations = 40;
-    opts.scheduler.sgdPower.maxIterations = 40;
-    opts.scheduler.sgdLatency.maxIterations = 40;
-    opts.scheduler.dds.maxIterations = 25;
-    opts.scheduler.dds.threads = 4;
+    benchSchedulerCaps(opts);
     opts.dag.enable = true;
     opts.dag.maxLiveWorkflows = 2 * n;
     opts.dag.localityAware = aware;
@@ -1022,8 +325,7 @@ runDagArm(const RealStack &stack, std::size_t n, std::size_t quanta,
     FleetController fleet(stack.params, stack.tables, stack.lc,
                           stack.split.test, stack.nodeMaxW, backfill,
                           opts);
-    fleet.run();
-    return fleet.summary();
+    return runFleet(fleet);
 }
 
 /** One fleet size's data-gravity A/B outcome. */
@@ -1031,8 +333,8 @@ struct DagPoint
 {
     std::size_t nodes = 0;
     std::size_t quanta = 0;
-    FleetSummary aware;
-    FleetSummary blind;
+    FleetRun aware;
+    FleetRun blind;
     double makespanRelDelta = 0.0; //!< aware/blind - 1 (neg = win)
     double qosDeltaPts = 0.0;      //!< aware - blind, pct points
     double ginstrRelDelta = 0.0;   //!< aware/blind - 1, signed
@@ -1046,18 +348,167 @@ measureDag(const RealStack &stack, std::size_t n, std::size_t quanta)
     pt.quanta = quanta;
     pt.blind = runDagArm(stack, n, quanta, /*aware=*/false);
     pt.aware = runDagArm(stack, n, quanta, /*aware=*/true);
-    pt.makespanRelDelta = pt.blind.gmeanMakespanQuanta > 0.0
-        ? pt.aware.gmeanMakespanQuanta /
-                pt.blind.gmeanMakespanQuanta - 1.0
+    const FleetSummary &aware = pt.aware.summary;
+    const FleetSummary &blind = pt.blind.summary;
+    pt.makespanRelDelta = blind.gmeanMakespanQuanta > 0.0
+        ? aware.gmeanMakespanQuanta / blind.gmeanMakespanQuanta - 1.0
         : 0.0;
-    pt.qosDeltaPts =
-        pt.aware.clusterQosPct - pt.blind.clusterQosPct;
-    pt.ginstrRelDelta = pt.blind.totalBatchInstructions > 0.0
-        ? pt.aware.totalBatchInstructions /
-                pt.blind.totalBatchInstructions -
+    pt.qosDeltaPts = aware.clusterQosPct - blind.clusterQosPct;
+    pt.ginstrRelDelta = blind.totalBatchInstructions > 0.0
+        ? aware.totalBatchInstructions /
+                blind.totalBatchInstructions -
             1.0
         : 0.0;
     return pt;
+}
+
+// ---------------------------------------------------------------------
+// The controller table: one row per real-fleet run above.
+
+struct ControllerRow
+{
+    const char *run = "";
+    std::size_t nodes = 0;
+    std::size_t quanta = 0;
+    const FleetRun *fleet = nullptr;
+};
+
+std::vector<ControllerRow>
+controllerRows(const std::vector<AbPoint> &ab,
+               const std::vector<DagPoint> &dag)
+{
+    std::vector<ControllerRow> rows;
+    for (const AbPoint &pt : ab) {
+        rows.push_back({"always-full", pt.nodes, pt.quanta, &pt.off.run});
+        rows.push_back({"gate+memo", pt.nodes, pt.quanta, &pt.on.run});
+    }
+    for (const DagPoint &pt : dag) {
+        rows.push_back({"dag-blind", pt.nodes, pt.quanta, &pt.blind});
+        rows.push_back({"dag-aware", pt.nodes, pt.quanta, &pt.aware});
+    }
+    return rows;
+}
+
+void
+printControllerTable(const std::vector<ControllerRow> &rows)
+{
+    std::printf("controller phases — FleetController::phaseSeconds(), "
+                "median us per cluster quantum\n(quanta after the "
+                "first %zu; controller = all phases but the node "
+                "step)\n",
+                kWarmQuanta);
+    std::printf("%-12s %5s", "run", "nodes");
+    for (std::size_t p = 0; p < kNumFleetPhases; ++p)
+        std::printf(" %9s", fleetPhaseName(static_cast<FleetPhase>(p)));
+    std::printf(" %10s %10s\n", "controller", "quantum");
+    for (const ControllerRow &row : rows) {
+        std::printf("%-12s %5zu", row.run, row.nodes);
+        for (const double us : row.fleet->phaseUs)
+            std::printf(" %9.1f", us);
+        std::printf(" %10.1f %10.1f\n", row.fleet->controllerUs,
+                    row.fleet->quantumUs);
+    }
+}
+
+void
+writeJson(const std::vector<ControllerRow> &rows,
+          const std::vector<AbPoint> &ab,
+          const std::vector<DagPoint> &dag)
+{
+    FILE *f = std::fopen("BENCH_fleet.json", "w");
+    if (f == nullptr)
+        return;
+    const AbPoint &gate = ab.front();
+    std::fprintf(f,
+                 "{\n"
+                 "  \"slots_per_node\": %zu,\n"
+                 "  \"placement_policy\": \"%s\",\n"
+                 "  \"warm_quanta\": %zu,\n"
+                 "  \"controller\": [\n",
+                 FleetOptions{}.batchSlotsPerNode,
+                 gate.on.run.summary.placementPolicy.c_str(),
+                 kWarmQuanta);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const ControllerRow &row = rows[i];
+        std::fprintf(f, "    {\"run\": \"%s\", \"nodes\": %zu, "
+                        "\"quanta\": %zu",
+                     row.run, row.nodes, row.quanta);
+        for (std::size_t p = 0; p < kNumFleetPhases; ++p) {
+            std::fprintf(f, ", \"%s_us\": %.2f",
+                         fleetPhaseName(static_cast<FleetPhase>(p)),
+                         row.fleet->phaseUs[p]);
+        }
+        std::fprintf(f,
+                     ", \"controller_us\": %.2f, \"quantum_us\": %.1f}"
+                     "%s\n",
+                     row.fleet->controllerUs, row.fleet->quantumUs,
+                     i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f,
+                 "  ],\n"
+                 "  \"incremental\": [\n");
+    for (std::size_t i = 0; i < ab.size(); ++i) {
+        const AbPoint &pt = ab[i];
+        const FleetSummary &on = pt.on.run.summary;
+        const FleetSummary &off = pt.off.run.summary;
+        std::fprintf(
+            f,
+            "    {\"nodes\": %zu, \"quanta\": %zu, "
+            "\"full_us_per_decision\": %.2f, "
+            "\"fast_us_per_decision\": %.2f, "
+            "\"decision_speedup\": %.3f, "
+            "\"fast_path_hit_rate\": %.4f, "
+            "\"memo_hits\": %zu, \"memo_stores\": %zu, "
+            "\"memo_seeded_quanta\": %zu, "
+            "\"qos_pct_on\": %.3f, \"qos_pct_off\": %.3f, "
+            "\"ginstr_on\": %.1f, \"ginstr_off\": %.1f, "
+            "\"ginstr_rel_delta\": %.5f}%s\n",
+            pt.nodes, pt.quanta, pt.off.decisionUs, pt.on.decisionUs,
+            pt.decisionSpeedup, on.fastPathHitRate, on.memoHits,
+            on.memoStores, on.memoSeededQuanta, on.clusterQosPct,
+            off.clusterQosPct, on.totalBatchInstructions,
+            off.totalBatchInstructions, pt.ginstrRelDelta,
+            i + 1 < ab.size() ? "," : "");
+    }
+    std::fprintf(f,
+                 "  ],\n"
+                 "  \"dag\": [\n");
+    for (std::size_t i = 0; i < dag.size(); ++i) {
+        const DagPoint &pt = dag[i];
+        const FleetSummary &aware = pt.aware.summary;
+        const FleetSummary &blind = pt.blind.summary;
+        std::fprintf(
+            f,
+            "    {\"nodes\": %zu, \"quanta\": %zu, "
+            "\"workflows_completed_aware\": %zu, "
+            "\"workflows_completed_blind\": %zu, "
+            "\"gmean_makespan_aware\": %.4f, "
+            "\"gmean_makespan_blind\": %.4f, "
+            "\"makespan_rel_delta\": %.5f, "
+            "\"artifact_hit_rate_aware\": %.4f, "
+            "\"artifact_hit_rate_blind\": %.4f, "
+            "\"transfer_bytes_aware\": %.0f, "
+            "\"transfer_bytes_blind\": %.0f, "
+            "\"qos_delta_pts\": %.3f, "
+            "\"ginstr_aware\": %.1f, \"ginstr_blind\": %.1f, "
+            "\"ginstr_rel_delta\": %.5f}%s\n",
+            pt.nodes, pt.quanta, aware.workflowsCompleted,
+            blind.workflowsCompleted, aware.gmeanMakespanQuanta,
+            blind.gmeanMakespanQuanta, pt.makespanRelDelta,
+            aware.artifactHitRate, blind.artifactHitRate,
+            aware.transferBytes, blind.transferBytes, pt.qosDeltaPts,
+            aware.totalBatchInstructions, blind.totalBatchInstructions,
+            pt.ginstrRelDelta, i + 1 < dag.size() ? "," : "");
+    }
+    std::fprintf(f,
+                 "  ],\n"
+                 "  \"decision_speedup\": %.3f,\n"
+                 "  \"fast_path_hit_rate\": %.4f\n"
+                 "}\n",
+                 gate.decisionSpeedup,
+                 gate.on.run.summary.fastPathHitRate);
+    std::fclose(f);
+    std::printf("wrote BENCH_fleet.json\n");
 }
 
 } // namespace
@@ -1068,36 +519,18 @@ main(int argc, char **argv)
     const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
     std::printf("==============================================="
                 "=========================\n");
-    std::printf("bench_fleet — controller overhead vs fleet size\n");
-    std::printf("serial = pre-rework sequential phases; parallel = "
-                "shipped scan/commit\n");
+    std::printf("bench_fleet — the shipped fleet controller, timed by "
+                "its own phase clocks\n");
     std::printf("-----------------------------------------------"
                 "-------------------------\n");
 
-    const std::vector<AppProfile> jobPool = syntheticPool();
-    const BackfillBinPack policy;
-    const std::vector<std::size_t> sizes = {16, 64, 256, 1024};
-    const std::size_t quanta = smoke ? 12 : 24;
-    const std::size_t reps = smoke ? 2 : 3;
-
-    std::vector<CurvePoint> curve;
-    for (const std::size_t n : sizes)
-        curve.push_back(measure(n, quanta, reps, policy, jobPool));
-
-    const std::vector<std::size_t> widths = {1, 4, 8};
-    const bool deterministic =
-        deterministicAcrossWidths(256, 8, policy, jobPool, widths);
-    const std::uint64_t allocs =
-        steadyStateAllocs(256, policy, jobPool);
-
-    // The real-fleet incremental-decisions A/B. Smoke keeps CI fast
-    // with the 16-node day; the full run sweeps the ISSUE curve.
     const RealStack stack;
+
+    // The incremental-decisions A/B. Smoke keeps CI fast with the
+    // 16-node day; the full run sweeps 16…1024 nodes.
     std::vector<AbPoint> ab;
-    if (smoke) {
-        ab.push_back(measureIncremental(stack, 16, 40));
-    } else {
-        ab.push_back(measureIncremental(stack, 16, 40));
+    ab.push_back(measureIncremental(stack, 16, 40));
+    if (!smoke) {
         ab.push_back(measureIncremental(stack, 64, 40));
         ab.push_back(measureIncremental(stack, 256, 24));
         ab.push_back(measureIncremental(stack, 1024, 12));
@@ -1107,46 +540,15 @@ main(int argc, char **argv)
     // The DAG data-gravity A/B: locality-aware vs blind placement on
     // the same diurnal fleet with churned workflow arrivals.
     std::vector<DagPoint> dagPts;
-    if (smoke) {
-        dagPts.push_back(measureDag(stack, 16, 40));
-    } else {
-        dagPts.push_back(measureDag(stack, 16, 40));
+    dagPts.push_back(measureDag(stack, 16, 40));
+    if (!smoke) {
         dagPts.push_back(measureDag(stack, 64, 40));
         dagPts.push_back(measureDag(stack, 256, 24));
     }
     const DagPoint &dagGate = dagPts.front();
 
-    std::printf("%8s %14s %14s %9s\n", "nodes", "serial us/q",
-                "parallel us/q", "speedup");
-    double speedupAt256 = 0.0;
-    for (const CurvePoint &pt : curve) {
-        std::printf("%8zu %14.1f %14.1f %8.2fx\n", pt.nodes,
-                    pt.serial.total(), pt.parallel.total(),
-                    pt.speedup);
-        if (pt.nodes == 256)
-            speedupAt256 = pt.speedup;
-    }
-
-    std::printf("\nphase breakdown at N=256 (us/quantum):\n");
-    std::printf("%8s", "");
-    for (const char *name : kPhaseNames)
-        std::printf(" %9s", name);
-    std::printf("\n");
-    for (const CurvePoint &pt : curve) {
-        if (pt.nodes != 256)
-            continue;
-        std::printf("%8s", "serial");
-        for (std::size_t p = 0; p < kNumPhases; ++p)
-            std::printf(" %9.1f", pt.serial.us[p]);
-        std::printf("\n%8s", "parallel");
-        for (std::size_t p = 0; p < kNumPhases; ++p)
-            std::printf(" %9.1f", pt.parallel.us[p]);
-        std::printf("\n");
-    }
-    std::printf("\ndeterministic across pool widths 1/4/8: %s\n",
-                deterministic ? "yes" : "NO");
-    std::printf("steady-state allocations/quantum (N=256): %llu\n",
-                static_cast<unsigned long long>(allocs));
+    const std::vector<ControllerRow> rows = controllerRows(ab, dagPts);
+    printControllerTable(rows);
 
     std::printf("\n-----------------------------------------------"
                 "-------------------------\n");
@@ -1160,22 +562,23 @@ main(int argc, char **argv)
                     "%+9.2f %9.3f\n",
                     pt.nodes, pt.quanta, pt.off.decisionUs,
                     pt.on.decisionUs, pt.decisionSpeedup,
-                    100.0 * pt.on.summary.fastPathHitRate,
-                    pt.on.summary.memoHits, pt.qosDeltaPts,
+                    100.0 * pt.on.run.summary.fastPathHitRate,
+                    pt.on.run.summary.memoHits, pt.qosDeltaPts,
                     100.0 * pt.ginstrRelDelta);
     }
-    std::printf("\nnode-step wall (us/cluster-quantum) and per-node "
-                "decision phases at N=%zu:\n", gatePt.nodes);
-    std::printf("%9s %10s", "", "step-wall");
+    std::printf("\ncluster-quantum wall (median us) and per-node "
+                "decision phases (mean us/node-quantum) at N=%zu:\n",
+                gatePt.nodes);
+    std::printf("%9s %10s", "", "quantum");
     for (std::size_t p = 0; p < telemetry::kNumPhases; ++p) {
         std::printf(" %11s",
                     telemetry::phaseName(
                         static_cast<telemetry::Phase>(p)));
     }
-    std::printf("\n%9s %10.1f", "always", gatePt.off.stepUs);
+    std::printf("\n%9s %10.1f", "always", gatePt.off.run.quantumUs);
     for (std::size_t p = 0; p < telemetry::kNumPhases; ++p)
         std::printf(" %11.1f", gatePt.off.phaseUs[p]);
-    std::printf("\n%9s %10.1f", "gate+memo", gatePt.on.stepUs);
+    std::printf("\n%9s %10.1f", "gate+memo", gatePt.on.run.quantumUs);
     for (std::size_t p = 0; p < telemetry::kNumPhases; ++p)
         std::printf(" %11.1f", gatePt.on.phaseUs[p]);
     std::printf("\ninvalidations:");
@@ -1189,13 +592,12 @@ main(int argc, char **argv)
                 gatePt.on.invalidations[i]);
         }
     }
+    const FleetSummary &gateOn = gatePt.on.run.summary;
     std::printf("\ndecision split: full %zu (memo-seeded %zu), "
                 "fast-reuse %zu of %zu node-quanta\n",
-                gatePt.on.summary.fullQuanta,
-                gatePt.on.summary.memoSeededQuanta,
-                gatePt.on.summary.fastPathHits,
-                gatePt.on.summary.fullQuanta +
-                    gatePt.on.summary.fastPathHits);
+                gateOn.fullQuanta, gateOn.memoSeededQuanta,
+                gateOn.fastPathHits,
+                gateOn.fullQuanta + gateOn.fastPathHits);
 
     std::printf("\n-----------------------------------------------"
                 "-------------------------\n");
@@ -1205,188 +607,75 @@ main(int argc, char **argv)
                 "nodes", "quanta", "wfs", "gmean(aw)", "gmean(bl)",
                 "dMk%", "hit%", "xfer(MB)", "dQoS(pt)", "dGinstr%");
     for (const DagPoint &pt : dagPts) {
+        const FleetSummary &aware = pt.aware.summary;
         std::printf("%7zu %6zu %5zu %10.2f %10.2f %+7.2f %5.1f%% "
                     "%9.2f %+9.2f %+9.3f\n",
-                    pt.nodes, pt.quanta,
-                    pt.aware.workflowsCompleted,
-                    pt.aware.gmeanMakespanQuanta,
-                    pt.blind.gmeanMakespanQuanta,
+                    pt.nodes, pt.quanta, aware.workflowsCompleted,
+                    aware.gmeanMakespanQuanta,
+                    pt.blind.summary.gmeanMakespanQuanta,
                     100.0 * pt.makespanRelDelta,
-                    100.0 * pt.aware.artifactHitRate,
-                    pt.aware.transferBytes / (1024.0 * 1024.0),
+                    100.0 * aware.artifactHitRate,
+                    aware.transferBytes / (1024.0 * 1024.0),
                     pt.qosDeltaPts, 100.0 * pt.ginstrRelDelta);
     }
 
-    if (FILE *f = std::fopen("BENCH_fleet.json", "w")) {
-        std::fprintf(f,
-                     "{\n"
-                     "  \"slots_per_node\": %zu,\n"
-                     "  \"quanta\": %zu,\n"
-                     "  \"placement_policy\": \"%s\",\n"
-                     "  \"curve\": [\n",
-                     kSlots, quanta, policy.name());
-        for (std::size_t i = 0; i < curve.size(); ++i) {
-            const CurvePoint &pt = curve[i];
-            std::fprintf(f,
-                         "    {\"nodes\": %zu, "
-                         "\"serial_us_per_quantum\": %.2f, "
-                         "\"parallel_us_per_quantum\": %.2f, "
-                         "\"speedup\": %.3f}%s\n",
-                         pt.nodes, pt.serial.total(),
-                         pt.parallel.total(), pt.speedup,
-                         i + 1 < curve.size() ? "," : "");
-        }
-        std::fprintf(f,
-                     "  ],\n"
-                     "  \"incremental\": [\n");
-        for (std::size_t i = 0; i < ab.size(); ++i) {
-            const AbPoint &pt = ab[i];
-            std::fprintf(
-                f,
-                "    {\"nodes\": %zu, \"quanta\": %zu, "
-                "\"full_us_per_decision\": %.2f, "
-                "\"fast_us_per_decision\": %.2f, "
-                "\"decision_speedup\": %.3f, "
-                "\"fast_path_hit_rate\": %.4f, "
-                "\"memo_hits\": %zu, \"memo_stores\": %zu, "
-                "\"memo_seeded_quanta\": %zu, "
-                "\"step_wall_us_on\": %.1f, "
-                "\"step_wall_us_off\": %.1f, "
-                "\"qos_pct_on\": %.3f, \"qos_pct_off\": %.3f, "
-                "\"ginstr_on\": %.1f, \"ginstr_off\": %.1f, "
-                "\"ginstr_rel_delta\": %.5f}%s\n",
-                pt.nodes, pt.quanta, pt.off.decisionUs,
-                pt.on.decisionUs, pt.decisionSpeedup,
-                pt.on.summary.fastPathHitRate, pt.on.summary.memoHits,
-                pt.on.summary.memoStores,
-                pt.on.summary.memoSeededQuanta, pt.on.stepUs,
-                pt.off.stepUs, pt.on.summary.clusterQosPct,
-                pt.off.summary.clusterQosPct,
-                pt.on.summary.totalBatchInstructions,
-                pt.off.summary.totalBatchInstructions,
-                pt.ginstrRelDelta, i + 1 < ab.size() ? "," : "");
-        }
-        std::fprintf(f,
-                     "  ],\n"
-                     "  \"dag\": [\n");
-        for (std::size_t i = 0; i < dagPts.size(); ++i) {
-            const DagPoint &pt = dagPts[i];
-            std::fprintf(
-                f,
-                "    {\"nodes\": %zu, \"quanta\": %zu, "
-                "\"workflows_completed_aware\": %zu, "
-                "\"workflows_completed_blind\": %zu, "
-                "\"gmean_makespan_aware\": %.4f, "
-                "\"gmean_makespan_blind\": %.4f, "
-                "\"makespan_rel_delta\": %.5f, "
-                "\"artifact_hit_rate_aware\": %.4f, "
-                "\"artifact_hit_rate_blind\": %.4f, "
-                "\"transfer_bytes_aware\": %.0f, "
-                "\"transfer_bytes_blind\": %.0f, "
-                "\"qos_delta_pts\": %.3f, "
-                "\"ginstr_aware\": %.1f, \"ginstr_blind\": %.1f, "
-                "\"ginstr_rel_delta\": %.5f}%s\n",
-                pt.nodes, pt.quanta, pt.aware.workflowsCompleted,
-                pt.blind.workflowsCompleted,
-                pt.aware.gmeanMakespanQuanta,
-                pt.blind.gmeanMakespanQuanta, pt.makespanRelDelta,
-                pt.aware.artifactHitRate, pt.blind.artifactHitRate,
-                pt.aware.transferBytes, pt.blind.transferBytes,
-                pt.qosDeltaPts, pt.aware.totalBatchInstructions,
-                pt.blind.totalBatchInstructions, pt.ginstrRelDelta,
-                i + 1 < dagPts.size() ? "," : "");
-        }
-        std::fprintf(f,
-                     "  ],\n"
-                     "  \"speedup_at_256\": %.3f,\n"
-                     "  \"decision_speedup\": %.3f,\n"
-                     "  \"fast_path_hit_rate\": %.4f,\n"
-                     "  \"deterministic_widths\": [1, 4, 8],\n"
-                     "  \"deterministic\": %s,\n"
-                     "  \"steady_state_allocs_per_quantum\": %llu\n"
-                     "}\n",
-                     speedupAt256, gatePt.decisionSpeedup,
-                     gatePt.on.summary.fastPathHitRate,
-                     deterministic ? "true" : "false",
-                     static_cast<unsigned long long>(allocs));
-        std::fclose(f);
-        std::printf("wrote BENCH_fleet.json\n");
-    }
+    writeJson(rows, ab, dagPts);
 
-    if (smoke) {
-        bool ok = true;
-        if (speedupAt256 < 3.0) {
-            std::printf("SMOKE FAIL: N=256 controller speedup %.2fx "
-                        "< 3.0x\n", speedupAt256);
-            ok = false;
-        }
-        if (!deterministic) {
-            std::printf("SMOKE FAIL: parallel controller diverges "
-                        "across pool widths\n");
-            ok = false;
-        }
-        if (allocs != 0) {
-            std::printf("SMOKE FAIL: %llu steady-state allocations "
-                        "per quantum (expected 0)\n",
-                        static_cast<unsigned long long>(allocs));
-            ok = false;
-        }
-        if (gatePt.decisionSpeedup < 2.5) {
-            std::printf("SMOKE FAIL: incremental decision speedup "
-                        "%.2fx < 2.5x (N=%zu)\n",
-                        gatePt.decisionSpeedup, gatePt.nodes);
-            ok = false;
-        }
-        if (gatePt.on.summary.fastPathHitRate < 0.5) {
-            std::printf("SMOKE FAIL: fast-path hit rate %.1f%% < "
-                        "50%% on the diurnal day\n",
-                        100.0 * gatePt.on.summary.fastPathHitRate);
-            ok = false;
-        }
-        if (std::fabs(gatePt.qosDeltaPts) > 1.0) {
-            std::printf("SMOKE FAIL: QoS delta %+.2f points vs "
-                        "always-full (|tol| 1.0)\n",
-                        gatePt.qosDeltaPts);
-            ok = false;
-        }
-        if (gatePt.ginstrRelDelta > 0.01) {
-            std::printf("SMOKE FAIL: batch Ginstr drifts %.2f%% vs "
-                        "always-full (tol 1%%)\n",
-                        100.0 * gatePt.ginstrRelDelta);
-            ok = false;
-        }
-        if (dagGate.aware.workflowsCompleted == 0) {
-            std::printf("SMOKE FAIL: dag A/B completed no "
-                        "workflows\n");
-            ok = false;
-        }
-        if (dagGate.makespanRelDelta >= 0.0) {
-            std::printf("SMOKE FAIL: locality-aware gmean makespan "
-                        "%.2f not below blind %.2f (dag win "
-                        "missing)\n",
-                        dagGate.aware.gmeanMakespanQuanta,
-                        dagGate.blind.gmeanMakespanQuanta);
-            ok = false;
-        }
-        if (std::fabs(dagGate.qosDeltaPts) > 1.0) {
-            std::printf("SMOKE FAIL: dag QoS delta %+.2f points vs "
-                        "blind (|tol| 1.0)\n", dagGate.qosDeltaPts);
-            ok = false;
-        }
-        // Asymmetric tolerance: the gravity term finishing MORE
-        // batch work than blind placement is the win mechanism
-        // (fewer slot-quanta burned on transfers); the regression
-        // the gate guards against is locality bias starving batch
-        // throughput.
-        if (dagGate.ginstrRelDelta < -0.01) {
-            std::printf("SMOKE FAIL: dag batch Ginstr %.2f%% below "
-                        "blind placement (tol -1%%)\n",
-                        100.0 * dagGate.ginstrRelDelta);
-            ok = false;
-        }
-        if (ok)
-            std::printf("SMOKE PASS\n");
-        return ok ? 0 : 1;
+    if (!smoke)
+        return 0;
+    bool ok = true;
+    if (gatePt.decisionSpeedup < 2.5) {
+        std::printf("SMOKE FAIL: incremental decision speedup %.2fx "
+                    "< 2.5x (N=%zu)\n",
+                    gatePt.decisionSpeedup, gatePt.nodes);
+        ok = false;
     }
-    return 0;
+    if (gateOn.fastPathHitRate < 0.5) {
+        std::printf("SMOKE FAIL: fast-path hit rate %.1f%% < 50%% on "
+                    "the diurnal day\n",
+                    100.0 * gateOn.fastPathHitRate);
+        ok = false;
+    }
+    if (std::fabs(gatePt.qosDeltaPts) > 1.0) {
+        std::printf("SMOKE FAIL: QoS delta %+.2f points vs always-full "
+                    "(|tol| 1.0)\n",
+                    gatePt.qosDeltaPts);
+        ok = false;
+    }
+    if (gatePt.ginstrRelDelta > 0.01) {
+        std::printf("SMOKE FAIL: batch Ginstr drifts %.2f%% vs "
+                    "always-full (tol 1%%)\n",
+                    100.0 * gatePt.ginstrRelDelta);
+        ok = false;
+    }
+    if (dagGate.aware.summary.workflowsCompleted == 0) {
+        std::printf("SMOKE FAIL: dag A/B completed no workflows\n");
+        ok = false;
+    }
+    if (dagGate.makespanRelDelta >= 0.0) {
+        std::printf("SMOKE FAIL: locality-aware gmean makespan %.2f "
+                    "not below blind %.2f (dag win missing)\n",
+                    dagGate.aware.summary.gmeanMakespanQuanta,
+                    dagGate.blind.summary.gmeanMakespanQuanta);
+        ok = false;
+    }
+    if (std::fabs(dagGate.qosDeltaPts) > 1.0) {
+        std::printf("SMOKE FAIL: dag QoS delta %+.2f points vs blind "
+                    "(|tol| 1.0)\n",
+                    dagGate.qosDeltaPts);
+        ok = false;
+    }
+    // Asymmetric tolerance: the gravity term finishing MORE batch
+    // work than blind placement is the win mechanism (fewer
+    // slot-quanta burned on transfers); the regression the gate
+    // guards against is locality bias starving batch throughput.
+    if (dagGate.ginstrRelDelta < -0.01) {
+        std::printf("SMOKE FAIL: dag batch Ginstr %.2f%% below blind "
+                    "placement (tol -1%%)\n",
+                    100.0 * dagGate.ginstrRelDelta);
+        ok = false;
+    }
+    if (ok)
+        std::printf("SMOKE PASS\n");
+    return ok ? 0 : 1;
 }

@@ -15,8 +15,8 @@
  *
  * Three extra sections audit this change set directly:
  *  - scalar-vs-vector micro rows time the kernel layer's two
- *    backends on the hot primitive shapes (both are always compiled;
- *    CS_KERNEL_SCALAR only flips the public dispatch),
+ *    variants on the hot primitive shapes (the public entry points
+ *    call the vector one; the scalar twin is the test oracle),
  *  - a steady-state allocations-per-quantum row, counted by the
  *    cs_alloc_probe operator-new replacement (must be 0),
  *  - a paired telemetry-overhead row: interleaved best-of-K quanta
@@ -355,10 +355,8 @@ timeNs(F &&body, std::size_t reps)
 }
 
 /**
- * Time both kernel backends on the hot shapes: rank-8 SGD steps,
- * jobs x configs log-table fills, and 16-wide gathers. Both backends
- * are compiled into every build (the CS_KERNEL_SCALAR option only
- * flips the public dispatch), so the rows are meaningful everywhere.
+ * Time both kernel variants on the hot shapes: rank-8 SGD steps,
+ * jobs x configs log-table fills, and 16-wide gathers.
  */
 std::vector<MicroRow>
 microKernels()
@@ -473,9 +471,8 @@ main(int argc, char **argv)
     std::printf("steady-state allocations/quantum: %llu\n",
                 static_cast<unsigned long long>(allocs));
 
-    std::printf("\n%-28s %10s %10s %8s  (backend: %s)\n", "kernel",
-                "scalar ns", "vector ns", "ratio",
-                kernels::backendName());
+    std::printf("\n%-28s %10s %10s %8s\n", "kernel", "scalar ns",
+                "vector ns", "ratio");
     for (const MicroRow &row : micro) {
         std::printf("%-28s %10.2f %10.2f %7.2fx\n", row.name,
                     row.scalarNs, row.vectorNs, row.ratio);
@@ -499,7 +496,6 @@ main(int argc, char **argv)
                      "  \"telemetry_median_paired_diff_us\": %.3f,\n"
                      "  \"telemetry_overhead_pct\": %.4f,\n"
                      "  \"steady_state_allocs_per_quantum\": %llu,\n"
-                     "  \"kernel_backend\": \"%s\",\n"
                      "  \"micro_kernels\": [\n",
                      kQuanta, before.meanMs, before.minMs,
                      before.meanObjective, after.meanMs, after.minMs,
@@ -507,8 +503,7 @@ main(int argc, char **argv)
                      telem.bareMinMs, telem.tracedMinMs,
                      telem.bestDiffUs, telem.medianDiffUs,
                      telem.overheadPct,
-                     static_cast<unsigned long long>(allocs),
-                     kernels::backendName());
+                     static_cast<unsigned long long>(allocs));
         for (std::size_t i = 0; i < micro.size(); ++i) {
             std::fprintf(f,
                          "    {\"name\": \"%s\", \"scalar_ns\": %.2f, "

@@ -1,7 +1,9 @@
 #include "cluster/fleet.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <iterator>
 
 #include "apps/mix.hh"
 #include "common/logging.hh"
@@ -19,6 +21,24 @@ constexpr std::size_t kNodeChunk = 32;
 constexpr std::uint64_t kDagPickSalt = 0x11;
 constexpr std::uint64_t kDagSeedSalt = 0x12;
 
+const char *const kFleetPhaseNames[] = {
+    "churn", "views", "place", "budget", "shift", "memo", "step", "gather",
+};
+static_assert(std::size(kFleetPhaseNames) == kNumFleetPhases);
+
+using PhaseClock = std::chrono::steady_clock;
+
+/** Read the phase clock (see FleetController::phaseSeconds()). */
+PhaseClock::time_point
+phaseNow()
+{
+    // Telemetry-only wall clock: phase times accumulate into
+    // phaseSeconds() and no decision path reads them back, so the
+    // controller stays a pure function of its seeds and options.
+    // cslint: allow(wall-clock)
+    return std::chrono::steady_clock::now();
+}
+
 /** Tenant arrival weights flow into the churn engine's account draw
  *  (overriding any manually configured weights, so the two layers can
  *  never disagree about who account k is). */
@@ -32,6 +52,12 @@ withTenantWeights(ChurnOptions churn,
 }
 
 } // namespace
+
+const char *
+fleetPhaseName(FleetPhase phase)
+{
+    return kFleetPhaseNames[static_cast<std::size_t>(phase)];
+}
 
 FleetController::FleetController(const SystemParams &params,
                                  const TrainingTables &tables,
@@ -1022,16 +1048,32 @@ void
 FleetController::stepQuantum()
 {
     CS_ASSERT(!done(), "stepQuantum() past the configured day");
+    // Lap timing: one clock read per phase boundary, each lap charged
+    // to the phase that just ended.
+    PhaseClock::time_point mark = phaseNow();
+    const auto lap = [this, &mark](FleetPhase phase) {
+        const PhaseClock::time_point now = phaseNow();
+        phaseSec_[static_cast<std::size_t>(phase)] +=
+            std::chrono::duration<double>(now - mark).count();
+        mark = now;
+    };
+
     // Decay usage and recompute fair-share once, up front, so
     // admission, ordering, and preemption all see factors reflecting
     // consumption through the previous quantum.
     ledger_.beginQuantum();
     applyChurn();
+    lap(FleetPhase::Churn);
     gatherViews();
+    lap(FleetPhase::Views);
     placePending();
+    lap(FleetPhase::Place);
     splitBudget();
+    lap(FleetPhase::Budget);
     shiftLoad();
+    lap(FleetPhase::Shift);
     memoSeedNodes();
+    lap(FleetPhase::Memo);
 
     // The parallel region: nodes are fully independent (each owns its
     // sim, scheduler, and stepper), so any pool width produces the
@@ -1041,9 +1083,12 @@ FleetController::stepQuantum()
     ThreadPool::global().parallelFor(
         nodes.size(),
         [&nodes](std::size_t i) { nodes[i]->step(); });
+    lap(FleetPhase::Step);
 
     memoPopulate();
+    lap(FleetPhase::Memo);
     gatherQuantum();
+    lap(FleetPhase::Gather);
     ++quantum_;
 }
 

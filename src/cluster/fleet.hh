@@ -39,6 +39,14 @@
  *     trace records are drained into the fleet-wide sink (stamped
  *     with their node index) and the cluster counters accumulate.
  *
+ * Every phase is timed by the controller's own wall clock: the run's
+ * cumulative seconds per FleetPhase (the six above, with the ledger's
+ * fair-share refresh counted into churn, view gathering split from
+ * place, and the memo probe and store counted as memo) are readable
+ * through phaseSeconds(). The clock is telemetry only — no decision
+ * reads it — and costs ten steady_clock reads per quantum, no
+ * allocation and no option.
+ *
  * The discipline throughout (DESIGN.md §12): parallel regions scan —
  * they read shared state and write only disjoint per-node entries or
  * per-worker arena scratch — and single-threaded fixed-order merges
@@ -51,6 +59,7 @@
 #ifndef CUTTLESYS_CLUSTER_FLEET_HH
 #define CUTTLESYS_CLUSTER_FLEET_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -71,6 +80,27 @@
 
 namespace cuttlesys {
 namespace cluster {
+
+/** The controller phases of one cluster quantum, in run order. */
+enum class FleetPhase : std::uint8_t
+{
+    Churn = 0, //!< fair-share refresh, departures, arrivals, DAG releases
+    Views,     //!< per-node view gather
+    Place,     //!< priority-ordered commit through PlacementRound
+    Budget,    //!< rack power split and per-node budget override
+    Shift,     //!< LC load shift between replicas
+    Memo,      //!< memo probe before the step plus store after it
+    Step,      //!< every node's quantum, concurrently on the pool
+    Gather,    //!< counters, usage charges and trace drain
+};
+
+inline constexpr std::size_t kNumFleetPhases = 8;
+
+/** Printable name of a fleet phase ("churn", "views", ...). */
+const char *fleetPhaseName(FleetPhase phase);
+
+/** Seconds per FleetPhase, indexed by the enum's value. */
+using FleetPhaseSeconds = std::array<double, kNumFleetPhases>;
 
 /** Fleet-wide configuration. */
 struct FleetOptions
@@ -168,8 +198,14 @@ struct FleetOptions
     bool uniformMixes = false;
 
     /** Fleet-wide trace sink; per-node records are drained into it in
-     *  node-index order, each stamped with its node. Null = untraced
-     *  (and the steady-state cluster quantum stays heap-free). */
+     *  node-index order, each stamped with its node. Null = untraced.
+     *  Untraced, the controller phases reserve their scratch at
+     *  construction. What is gated heap-free (ZeroAlloc) is the parts:
+     *  a 256-node loop over the churn engine, ledger, placement round
+     *  and power split; a node's job-event queue and memo seed; the
+     *  memo table; a node's quantum without churn. A node step that
+     *  applies churn still allocates, so no gate covers a whole
+     *  churning cluster quantum. */
     telemetry::TraceSink *sink = nullptr;
 
     bool validateDecisions = true;
@@ -312,6 +348,14 @@ class FleetController
     /** Run one cluster quantum (churn, place, budget, step, gather). */
     void stepQuantum();
 
+    /**
+     * Wall seconds each phase has taken, summed over every quantum run
+     * so far. Callers wanting a window (say, past warm-up) difference
+     * two reads. Telemetry only: no decision reads it, and it varies
+     * run to run.
+     */
+    const FleetPhaseSeconds &phaseSeconds() const { return phaseSec_; }
+
     /** Drive the whole day, then summarize. */
     FleetSummary run();
 
@@ -428,6 +472,7 @@ class FleetController
 
     std::size_t numQuanta_ = 0;
     std::size_t quantum_ = 0;
+    FleetPhaseSeconds phaseSec_{};
 
     // Persistent per-quantum scratch (heap-free steady state). The
     // parallel phase scans stage variable-length results in

@@ -82,15 +82,5 @@ logGatherSumScalar(const double *table, std::size_t stride,
 
 } // namespace detail
 
-const char *
-backendName()
-{
-#if defined(CS_KERNEL_SCALAR)
-    return "scalar";
-#else
-    return "vector";
-#endif
-}
-
 } // namespace kernels
 } // namespace cuttlesys

@@ -91,6 +91,8 @@ CuttleSysScheduler::CuttleSysScheduler(const SystemParams &params,
     CS_ASSERT(lc_qos_sec > 0.0, "QoS target must be positive");
     if (!tables.latencyRowUtil.empty())
         latencyEngine_.setTrainingContext(tables.latencyRowUtil);
+    // setMemoSeed() fills it in the fleet's memo phase, heap-free.
+    memoSeed_.reserve(numBatchJobs_);
 }
 
 void

@@ -56,6 +56,17 @@ ColocationRun::ColocationRun(MulticoreSim &sim, Scheduler &scheduler,
     slotWorkflows_.assign(sim_.numBatchJobs(), -1);
     slotDagTasks_.assign(sim_.numBatchJobs(), -1);
 
+    // Between two steps a fleet controller queues at most a
+    // departure, an arrival and a preemption per slot, and each slot
+    // completes at most one workflow task; reserving those bounds
+    // keeps a churn burst off the heap.
+    const std::size_t slots = sim_.numBatchJobs();
+    pendingEvents_.reserve(3 * slots);
+    preemptedScratch_.reserve(slots);
+    completedWorkflows_.reserve(slots);
+    completedAccounts_.reserve(slots);
+    completedMakespans_.reserve(slots);
+
     // The trace object lives inside this run; schedulers only borrow
     // a pointer, so the destructor detaches.
     tracing_ = opts_.traceSink != nullptr;

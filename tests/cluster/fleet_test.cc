@@ -426,6 +426,36 @@ TEST(FleetTest, StepQuantumAdvancesOneQuantum)
     EXPECT_EQ(s.quanta, 1u);
 }
 
+TEST(FleetTest, PhaseClocksAccumulateEveryQuantum)
+{
+    SmallFleet f;
+    for (const double sec : f.fleet.phaseSeconds())
+        EXPECT_EQ(sec, 0.0);
+
+    FleetPhaseSeconds last{};
+    while (!f.fleet.done()) {
+        f.fleet.stepQuantum();
+        const FleetPhaseSeconds &now = f.fleet.phaseSeconds();
+        for (std::size_t p = 0; p < kNumFleetPhases; ++p)
+            EXPECT_GE(now[p], last[p]) << fleetPhaseName(
+                static_cast<FleetPhase>(p));
+        last = now;
+    }
+    // The node steps simulate a slice and run a decision every
+    // quantum; no clock is coarse enough to read that as zero.
+    EXPECT_GT(last[static_cast<std::size_t>(FleetPhase::Step)], 0.0);
+
+    // One distinct name per phase, in run order.
+    EXPECT_STREQ(fleetPhaseName(FleetPhase::Churn), "churn");
+    EXPECT_STREQ(fleetPhaseName(FleetPhase::Gather), "gather");
+    for (std::size_t a = 0; a < kNumFleetPhases; ++a) {
+        for (std::size_t b = a + 1; b < kNumFleetPhases; ++b) {
+            EXPECT_STRNE(fleetPhaseName(static_cast<FleetPhase>(a)),
+                         fleetPhaseName(static_cast<FleetPhase>(b)));
+        }
+    }
+}
+
 } // namespace
 } // namespace cluster
 } // namespace cuttlesys

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -584,6 +585,105 @@ TEST(PlacementRoundTest, PlaceBestInterleavesWithPlaceOne)
                 << "job " << j;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Work counters: what makes the round cheaper than the serial rescan,
+// pinned as score() calls rather than as wall time.
+// ---------------------------------------------------------------------
+
+/** BackfillBinPack behind a score() call counter. */
+class CountingBackfill final : public PlacementPolicy
+{
+  public:
+    const char *name() const override { return inner_.name(); }
+
+    double
+    score(const NodeView &node) const override
+    {
+        // begin() scores from pool workers.
+        calls_.fetch_add(1, std::memory_order_relaxed);
+        return inner_.score(node);
+    }
+
+    std::size_t calls() const { return calls_.load(); }
+
+  private:
+    BackfillBinPack inner_;
+    mutable std::atomic<std::size_t> calls_{0};
+};
+
+void
+expectRoundScoresOncePerVacancy(std::size_t n)
+{
+    ThreadPool pool(4);
+    CountingBackfill policy;
+    std::vector<NodeView> views = syntheticFleet(n, 0xc0deULL + n);
+    std::size_t vacant = 0;
+    std::size_t capacity = 0;
+    for (const NodeView &v : views) {
+        vacant += v.freeSlots > 0;
+        capacity += v.freeSlots;
+    }
+
+    PlacementRound round;
+    round.begin(policy, views, pool);
+    EXPECT_EQ(policy.calls(), vacant) << "n=" << n;
+
+    // Every commit path adds at most one score, for the node it
+    // booked, and none when that booking filled the node. Interleaves
+    // placeOne, placeBest and evictions reported through refresh, as
+    // the fleet's commit loop does.
+    for (std::size_t j = 0; j < capacity + 8; ++j) {
+        if (j % 5 == 0) {
+            const std::size_t victim = mixBits(0x51ULL + j) % n;
+            NodeView &v = views[victim];
+            if (v.occupiedSlots > 0) {
+                ++v.freeSlots;
+                --v.occupiedSlots;
+            }
+            const std::size_t before = policy.calls();
+            round.refresh(victim);
+            EXPECT_EQ(policy.calls() - before, v.freeSlots > 0 ? 1u : 0u)
+                << "refresh, n=" << n << " job " << j;
+        }
+        const std::size_t before = policy.calls();
+        const std::vector<double> delta = syntheticDeltas(n, j, 0x9ULL);
+        const std::size_t target = j % 3 == 1
+            ? round.placeBest(delta.data())
+            : round.placeOne();
+        const std::size_t added = policy.calls() - before;
+        if (target == PlacementPolicy::kNoNode)
+            EXPECT_EQ(added, 0u) << "n=" << n << " job " << j;
+        else
+            EXPECT_EQ(added, views[target].freeSlots > 0 ? 1u : 0u)
+                << "n=" << n << " job " << j;
+    }
+
+    // The serial oracle on a fleet where no node fills within n jobs
+    // (equal headroom, so the spread bonus deals one job per node):
+    // it scores every node for every job, where the round scores each
+    // node once plus once per booking.
+    std::vector<NodeView> open;
+    for (std::size_t i = 0; i < n; ++i)
+        open.push_back(makeView(i, 16, 10.0));
+    CountingBackfill serialPolicy;
+    std::vector<NodeView> serialViews;
+    const std::vector<std::size_t> serial =
+        serialCommit(serialPolicy, open, n, serialViews);
+    EXPECT_GE(serialPolicy.calls(), n * n) << "n=" << n;
+
+    CountingBackfill roundPolicy;
+    round.begin(roundPolicy, open, pool);
+    for (std::size_t j = 0; j < n; ++j)
+        ASSERT_EQ(round.placeOne(), serial[j]) << "n=" << n;
+    EXPECT_LE(roundPolicy.calls(), 2 * n) << "n=" << n;
+}
+
+TEST(PlacementRoundTest, ScoresOncePerVacantNodeThenOncePerBooking)
+{
+    for (const std::size_t n : {16u, 64u, 256u, 1024u})
+        expectRoundScoresOncePerVacancy(n);
 }
 
 } // namespace

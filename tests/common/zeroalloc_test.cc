@@ -252,6 +252,58 @@ TEST(ZeroAlloc, FleetNodeSteadyStateQuantumIsHeapFree)
         << allocs << " times over " << kMeasured << " quanta";
 }
 
+TEST(ZeroAlloc, JobEventBurstIsHeapFree)
+{
+    // The fleet's churn and place phases queue JobEvents into a node
+    // between its steps, and the memo phase installs a sibling's
+    // schedule as the node's search seed. Neither may touch the heap:
+    // the run reserves its event queue and the scheduler its seed at
+    // construction. A warmed node takes a departure plus an arrival
+    // on every slot, then a memo seed.
+    setInformEnabled(false);
+    const SystemParams params;
+    DriverOptions opts;
+    opts.durationSec = 10.0;
+    opts.loadPattern = LoadPattern::constant(0.45);
+    opts.powerPattern = LoadPattern::constant(0.7);
+    opts.maxPowerW = 150.0;
+    WorkloadMix mix = makeTestMix();
+    const std::vector<AppProfile> arrivals = mix.batch;
+    cluster::ClusterNode node(params, testTrainingTables(),
+                              std::move(mix), 21, opts, 3,
+                              CuttleSysOptions{});
+    for (int q = 0; q < 4; ++q)
+        node.step();
+
+    // Built before the measured region: only the queueing is gated.
+    const std::size_t slots = node.numBatchSlots();
+    std::vector<JobEvent> events;
+    for (std::size_t s = 0; s < slots; ++s) {
+        JobEvent departure;
+        departure.slot = s;
+        departure.departure = true;
+        events.push_back(departure);
+        JobEvent arrival;
+        arrival.slot = s;
+        arrival.arrival = arrivals[(s + 1) % arrivals.size()];
+        arrival.account = 1;
+        events.push_back(std::move(arrival));
+    }
+    const std::vector<std::uint16_t> seed(slots, 0);
+
+    const std::uint64_t before = AllocProbe::newCount();
+    for (const JobEvent &e : events)
+        node.queueJobEvent(e);
+    node.scheduler().setMemoSeed(seed.data(), slots);
+    const std::uint64_t allocs = AllocProbe::newCount() - before;
+
+    EXPECT_EQ(allocs, 0u)
+        << "a " << events.size() << "-event burst plus a memo seed "
+        << "touched the heap " << allocs << " times";
+    node.step();
+    EXPECT_EQ(node.run().result().jobArrivals, slots);
+}
+
 TEST(ZeroAlloc, CapEnforcementWithVictimsIsHeapFree)
 {
     // The fleet-node gate under a budget too tight for the batch
