@@ -1,30 +1,38 @@
 /**
  * @file
- * Decision-quantum hot-path timing: the combined per-quantum cost of
- * the three matrix reconstructions plus the parallel DDS search,
- * before and after the hot-path optimizations of this change set.
+ * The decision-quantum hot path, timed on the shipped scheduler.
  *
- * "before" reproduces the seed configuration's algorithmic work:
- * cold-start SGD every quantum (no factor reuse), convergence checked
- * on every observed cell, full evaluatePoint per DDS candidate, and
- * the allocating per-call entry points. "after" is the shipped
- * configuration: cross-quantum factor warm starts, subsampled
- * convergence checks, delta-evaluated DDS, and the arena-backed
- * zero-allocation entry points (predictInto + prepared objective +
- * persistent DDS scratch). Both run on the persistent pool.
+ * The bench drives CuttleSysScheduler::decideInto with the stability
+ * gate off (fastPath = false), so every quantum runs the full
+ * pipeline — ingest, three reconstructions from the quantum arena,
+ * the LC scan, the greedy seed, parallel DDS and cap enforcement —
+ * over replayed slice contexts: each quantum brings fresh profiling
+ * samples for every job and the previous slice's measurement at the
+ * configurations the scheduler itself chose, as the driver would,
+ * without the simulator. The per-phase split comes from the
+ * scheduler's own PhaseTimers (a QuantumTrace with no sink).
  *
- * Three extra sections audit this change set directly:
- *  - scalar-vs-vector micro rows time the kernel layer's two
- *    variants on the hot primitive shapes (the public entry points
- *    call the vector one; the scalar twin is the test oracle),
- *  - a steady-state allocations-per-quantum row, counted by the
- *    cs_alloc_probe operator-new replacement (must be 0),
- *  - a paired telemetry-overhead row: interleaved best-of-K quanta
- *    with and without a trace attached (null sink), and
- *  - --smoke: exit nonzero unless speedup >= 1.5x, the steady-state
- *    allocation count is 0, and telemetry overhead < 1%, for CI.
+ * Rows:
+ *  - the cold first decision (SVD start) and the warm decisions after
+ *    it: wall time, per-phase means, the bips and power engines' SVD
+ *    sweeps and SGD iterations, and DDS evaluations;
+ *  - steady-state allocations per quantum, counted by the
+ *    cs_alloc_probe operator-new replacement;
+ *  - a paired telemetry-overhead row (see telemetryOverhead);
+ *  - scalar-vs-vector micro rows of the kernel layer on the hot
+ *    primitive shapes (the public entry points call the vector one;
+ *    the scalar twin is the test oracle).
  *
- * Emits BENCH_hotpath.json next to stdout for scripted comparison.
+ * --smoke exits nonzero unless warm decisions run 0 SVD sweeps on the
+ * bips and power engines, no warm reconstruction takes more SGD
+ * iterations than the cold one, the steady state allocates nothing
+ * and telemetry costs under 1% of the quantum. All but the last are
+ * deterministic work counters; no wall-clock ratio is gated.
+ *
+ * Writes BENCH_hotpath.json to the working directory. The committed
+ * copy comes from a run at the repository root:
+ *
+ *   ./build/bench/bench_hotpath
  */
 
 #include <algorithm>
@@ -33,12 +41,8 @@
 #include <cstring>
 
 #include "bench_common.hh"
-#include "cf/engine.hh"
 #include "common/alloc_probe.hh"
-#include "common/arena.hh"
 #include "common/kernels.hh"
-#include "common/thread_pool.hh"
-#include "search/dds.hh"
 #include "telemetry/quantum_trace.hh"
 
 using namespace cuttlesys;
@@ -48,168 +52,146 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::size_t kLiveJobs = 17;
 constexpr std::size_t kBatchJobs = 16;
 constexpr std::size_t kQuanta = 12;
 
-/** One decision quantum's model work, parameterized by fidelity. */
-struct HotPath
+/** The phases the scheduler times itself (the rest are driver's). */
+constexpr telemetry::Phase kDecisionPhases[] = {
+    telemetry::Phase::Ingest, telemetry::Phase::Reconstruct,
+    telemetry::Phase::Search, telemetry::Phase::Enforce};
+
+/**
+ * The shipped scheduler's decision loop over replayed slice contexts.
+ * Every job has a base BIPS and power draw; each quantum's profiling
+ * samples and measurements jitter around them by ±5%, and the
+ * measurement lands on the configurations of the scheduler's previous
+ * decision, so the observation set accretes as in a real run.
+ */
+struct ReplayedDecisions
 {
-    CfEngine bips;
-    CfEngine power;
-    CfEngine latency;
-    Matrix predBips, predPower, predLatency;
-    Matrix searchBips{kBatchJobs, kNumJobConfigs};
-    Matrix searchPower{kBatchJobs, kNumJobConfigs};
-    DdsOptions dds;
+    CuttleSysScheduler sched;
     Rng rng{83};
-    /** true = the shipped arena + prepared-objective path. */
-    bool fastPath = false;
-    ScratchArena arena;
-    ObjectiveContext objCtx;
-    PreparedObjective prepared;
-    DdsScratch ddsScratch;
-    SearchResult found;
-    /** Non-null: per-quantum tracing with the sink disabled. */
+    std::vector<double> baseBips;  //!< LC first, then batch jobs
+    std::vector<double> basePower;
+    SliceContext ctx;
+    SliceMeasurement measured;
+    SliceDecision decisions[2];
+    std::size_t slice = 0;
+    /** Non-null: trace each quantum (the sink stays null). */
     telemetry::QuantumTrace *trace = nullptr;
 
-    HotPath(bool warm_start, std::size_t conv_samples, bool delta,
-            bool fast_path)
-        : bips(trainingTables().bips, kLiveJobs, kNumJobConfigs),
-          power(trainingTables().power, kLiveJobs, kNumJobConfigs),
-          latency(trainingTables().latency, 1, kNumJobConfigs),
-          fastPath(fast_path)
+    static CuttleSysOptions
+    fullPathOptions()
     {
-        for (CfEngine *e : {&bips, &power, &latency}) {
-            e->setFactorWarmStart(warm_start);
-            e->options().convergenceSamples = conv_samples;
-        }
-        bips.options().threads = 4;
-        power.options().threads = 4;
-        latency.options().threads = 2;
-        latency.options().logTransform = true;
-        dds.threads = 8;
-        dds.useDeltaEval = delta;
-
-        // Two profiling samples per live row, like the runtime's
-        // steady state.
-        for (std::size_t j = 0; j < kLiveJobs; ++j) {
-            bips.observe(j, 0, rng.uniform(0.5, 8.0));
-            bips.observe(j, kNumJobConfigs - 1, rng.uniform(0.5, 8.0));
-            power.observe(j, 0, rng.uniform(0.5, 3.0));
-            power.observe(j, kNumJobConfigs - 1, rng.uniform(0.5, 3.0));
-        }
-        latency.observe(0, kNumJobConfigs - 1, 5e-3);
+        CuttleSysOptions opts;
+        opts.fastPath = false;
+        return opts;
     }
 
-    /** One quantum: ingest a fresh cell, reconstruct x3, search. */
-    double quantum(std::size_t slice)
+    ReplayedDecisions()
+        : sched(params(), trainingTables(), kBatchJobs,
+                lcApps()[0].qosSeconds(), fullPathOptions())
     {
-        if (trace) {
-            trace->begin(slice, static_cast<double>(slice) * 0.1);
-            trace->record().scheduler = "bench-hotpath";
-            trace->record().batchPowerBudgetW = 30.0;
-            trace->record().cacheBudgetWays = 28.0;
+        for (std::size_t j = 0; j <= kBatchJobs; ++j) {
+            baseBips.push_back(rng.uniform(1.0, 6.0));
+            basePower.push_back(rng.uniform(1.0, 3.0));
         }
-        arena.reset();
-
-        // A trickle of new observations, as the runtime sees.
-        const auto cfg = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<std::int64_t>(
-                                  kNumJobConfigs) - 1));
-        bips.observe(slice % kLiveJobs, cfg, rng.uniform(0.5, 8.0));
-        power.observe(slice % kLiveJobs, cfg, rng.uniform(0.5, 3.0));
-
-        {
-            telemetry::PhaseTimer timer(
-                trace, telemetry::Phase::Reconstruct);
-            ThreadPool::global().parallelFor(3,
-                                             [&](std::size_t metric) {
-                switch (metric) {
-                  case 0:
-                    if (fastPath)
-                        bips.predictInto(predBips, arena);
-                    else
-                        bips.predictInto(predBips);
-                    break;
-                  case 1:
-                    if (fastPath)
-                        power.predictInto(predPower, arena);
-                    else
-                        power.predictInto(predPower);
-                    break;
-                  default:
-                    if (fastPath)
-                        latency.predictInto(predLatency, arena);
-                    else
-                        latency.predictInto(predLatency);
-                    break;
-                }
-            });
-        }
-
-        kernels::copy(searchBips.data(), predBips.rowPtr(1),
-                      kBatchJobs * kNumJobConfigs);
-        kernels::copy(searchPower.data(), predPower.rowPtr(1),
-                      kBatchJobs * kNumJobConfigs);
-        objCtx.bips = &searchBips;
-        objCtx.power = &searchPower;
-        objCtx.powerBudgetW = 30.0;
-        objCtx.cacheBudgetWays = 28.0;
-        dds.seed = 11 + slice; // fresh exploration each quantum
-        {
-            telemetry::PhaseTimer timer(
-                trace, telemetry::Phase::Search);
-            if (fastPath) {
-                prepared.rebuild(objCtx);
-                parallelDds(prepared, dds, ddsScratch, found);
-            } else {
-                found = parallelDds(objCtx, dds);
-            }
-        }
-
-        if (trace) {
-            telemetry::QuantumRecord &rec = trace->record();
-            rec.searchEvaluations = found.evaluations;
-            rec.searchObjective = found.metrics.objective;
-            rec.searchPowerW = found.metrics.powerW;
-            rec.searchWays = found.metrics.cacheWays;
-            trace->end();
-        }
-        return found.metrics.objective;
+        ctx.powerBudgetW = 0.7 * maxPowerW();
+        ctx.lcQosSec = lcApps()[0].qosSeconds();
+        ctx.profiles.resize(1 + kBatchJobs);
+        measured.lcTailLatency = 0.5 * ctx.lcQosSec;
+        measured.lcCompleted = 200;
+        measured.lcUtilization = 0.5;
+        measured.lcPower = 16.0 * basePower[0];
+        measured.batchBips.resize(kBatchJobs);
+        measured.batchPower.resize(kBatchJobs);
     }
-};
 
-struct RunStats
-{
-    double meanMs = 0.0;
-    double minMs = 0.0;
-    double meanObjective = 0.0;
-};
+    double jitter() { return rng.uniform(0.95, 1.05); }
 
-RunStats
-run(bool warm_start, std::size_t conv_samples, bool delta,
-    bool fast_path)
-{
-    HotPath path(warm_start, conv_samples, delta, fast_path);
-    // Untimed cold quantum: fills the factor caches for the "after"
-    // configuration, and gives both configurations identical warmup.
-    path.quantum(0);
+    /** One decision quantum; returns its wall milliseconds. */
+    double
+    step()
+    {
+        ctx.sliceIndex = slice;
+        ctx.timeSec = 0.1 * static_cast<double>(slice);
+        for (std::size_t j = 0; j <= kBatchJobs; ++j) {
+            ProfilePair &p = ctx.profiles[j];
+            p.bipsWide = baseBips[j] * jitter();
+            p.bipsNarrow = 0.4 * baseBips[j] * jitter();
+            p.powerWide = basePower[j] * jitter();
+            p.powerNarrow = 0.3 * basePower[j] * jitter();
+        }
+        for (std::size_t j = 0; j < kBatchJobs; ++j) {
+            measured.batchBips[j] = baseBips[1 + j] * jitter();
+            measured.batchPower[j] = basePower[1 + j] * jitter();
+        }
+        ctx.previous = slice > 0 ? &measured : nullptr;
+        ctx.previousDecision =
+            slice > 0 ? &decisions[(slice + 1) % 2] : nullptr;
 
-    RunStats stats;
-    stats.minMs = 1e18;
-    for (std::size_t q = 1; q <= kQuanta; ++q) {
+        sched.attachTrace(trace);
+        if (trace)
+            trace->begin(slice, ctx.timeSec);
         const auto start = Clock::now();
-        const double objective = path.quantum(q);
-        const double ms =
-            std::chrono::duration<double, std::milli>(Clock::now() -
-                                                      start).count();
-        stats.meanMs += ms;
-        stats.minMs = std::min(stats.minMs, ms);
-        stats.meanObjective += objective;
+        sched.decideInto(ctx, decisions[slice % 2]);
+        const double ms = std::chrono::duration<double, std::milli>(
+                              Clock::now() - start).count();
+        if (trace)
+            trace->end();
+        ++slice;
+        return ms;
     }
-    stats.meanMs /= kQuanta;
-    stats.meanObjective /= kQuanta;
+};
+
+/** The cold first decision and the warm ones after it. */
+struct DecisionStats
+{
+    double coldMs = 0.0;
+    std::size_t coldSvdBips = 0, coldSvdPower = 0;
+    std::size_t coldIterBips = 0, coldIterPower = 0;
+    double warmMeanMs = 0.0, warmMedianMs = 0.0, warmMinMs = 0.0;
+    double warmPhaseMs[telemetry::kNumPhases] = {};
+    std::size_t warmSvdMax = 0; //!< max sweeps of either engine
+    std::size_t warmIterMaxBips = 0, warmIterMaxPower = 0;
+    double evaluationsPerQuantum = 0.0; //!< DDS, warm mean
+};
+
+DecisionStats
+decisions()
+{
+    ReplayedDecisions loop;
+    DecisionStats stats;
+    stats.coldMs = loop.step();
+    const CfEngine &bips = loop.sched.bipsEngine();
+    const CfEngine &power = loop.sched.powerEngine();
+    stats.coldSvdBips = bips.lastSvdSweeps();
+    stats.coldSvdPower = power.lastSvdSweeps();
+    stats.coldIterBips = bips.lastIterations();
+    stats.coldIterPower = power.lastIterations();
+
+    telemetry::QuantumTrace trace;
+    loop.trace = &trace;
+    std::vector<double> ms;
+    for (std::size_t q = 0; q < kQuanta; ++q) {
+        ms.push_back(loop.step());
+        stats.warmSvdMax = std::max({stats.warmSvdMax,
+                                     bips.lastSvdSweeps(),
+                                     power.lastSvdSweeps()});
+        stats.warmIterMaxBips =
+            std::max(stats.warmIterMaxBips, bips.lastIterations());
+        stats.warmIterMaxPower =
+            std::max(stats.warmIterMaxPower, power.lastIterations());
+        stats.evaluationsPerQuantum += static_cast<double>(
+            trace.record().searchEvaluations);
+    }
+    stats.evaluationsPerQuantum /= kQuanta;
+    for (const double v : ms)
+        stats.warmMeanMs += v / kQuanta;
+    stats.warmMedianMs = percentile(ms, 50.0);
+    stats.warmMinMs = *std::min_element(ms.begin(), ms.end());
+    for (std::size_t p = 0; p < telemetry::kNumPhases; ++p)
+        stats.warmPhaseMs[p] = trace.summary().phaseSec[p].mean() * 1e3;
     return stats;
 }
 
@@ -221,23 +203,21 @@ struct TelemetryStats
     double medianDiffUs = 0.0; //!< median per-pair (traced - bare)
     double bestDiffUs = 0.0;   //!< smallest per-pair (traced - bare)
     double overheadPct = 0.0;  //!< best diff / bare min, clamped >= 0
+    double medianPct = 0.0;    //!< median diff / bare min (reported)
 };
 
 /**
  * Cost of compiled-in telemetry (record fill + phase timers, sink
- * stays null), measured as a paired comparison on a single
- * shipped-path instance: each round times one bare and one traced
- * *block* of quanta back to back over the same slice range — same
- * DDS seeds, so both halves run the same search trajectories over
- * near-identical model state — and records the per-quantum traced
- * minus bare difference. Blocks rather than single quanta because a
- * 1.7 ms quantum's wall time on a busy core swings by hundreds of
- * microseconds of timeslice luck; an 8-quantum block averages that
- * down before the subtraction. The order alternates round to round
- * (ABBA), cancelling the second half's warm-cache advantage. Sharing
- * one instance means both sides also see identical buffer addresses
- * and layout; the only systematic difference between the halves is
- * the telemetry itself.
+ * stays null), measured as a paired comparison on one scheduler:
+ * each round times one bare and one traced *block* of quanta back to
+ * back and records the per-quantum traced minus bare difference.
+ * Blocks rather than single quanta because a 2 ms quantum's wall
+ * time on a busy core swings by hundreds of microseconds of
+ * timeslice luck; an 8-quantum block averages that down before the
+ * subtraction. The order alternates round to round (ABBA), cancelling
+ * the second half's warm-cache advantage. Sharing one scheduler means
+ * both sides also see identical buffer addresses and layout; the only
+ * systematic difference between the halves is the telemetry itself.
  *
  * The gated estimate is the *best* (smallest) per-round difference
  * over the bare floor — best-of-K on the paired diff, not per side.
@@ -245,24 +225,18 @@ struct TelemetryStats
  * (whichever half it lands on makes that half slower), so the
  * cleanest round approaches the true overhead from above, while a
  * real regression is paid in every round and survives the min. The
- * median diff rides along in the report as a cross-check. Comparing
- * two *independent* run() calls here is hopeless — the overhead is
- * well under the quantum's run-to-run noise, which is how the report
- * once showed telemetry making the loop 2% faster — and even
- * best-of-K per side stays a few percent noisy, because the minima
- * of two heavy-tailed timing distributions converge slowly. The
- * result is clamped at zero: the traced quantum cannot be genuinely
+ * median diff is reported next to it as a cross-check. The gated
+ * value is clamped at zero: the traced quantum cannot be genuinely
  * faster, so a negative raw diff just means the overhead is below
  * the measurement floor.
  */
 TelemetryStats
 telemetryOverhead()
 {
-    HotPath path(true, 512, true, true);
+    ReplayedDecisions loop;
     telemetry::QuantumTrace trace;
-
     for (std::size_t q = 0; q < 4; ++q)
-        path.quantum(q);
+        loop.step();
 
     constexpr std::size_t kBlock = 8;   //!< quanta per timed block
     constexpr std::size_t kRounds = 12; //!< paired blocks
@@ -270,61 +244,50 @@ telemetryOverhead()
     stats.bareMinMs = 1e18;
     stats.tracedMinMs = 1e18;
     std::vector<double> diffsUs;
-    diffsUs.reserve(kRounds);
-    std::size_t slice = 4;
     for (std::size_t r = 0; r < kRounds; ++r) {
         const bool traced_first = (r % 2 == 1);
         double bare_ms = 0.0, traced_ms = 0.0;
         for (int half = 0; half < 2; ++half) {
             const bool with_trace = (half == 0) == traced_first;
-            path.trace = with_trace ? &trace : nullptr;
-            const auto start = Clock::now();
+            loop.trace = with_trace ? &trace : nullptr;
+            double ms = 0.0;
             for (std::size_t b = 0; b < kBlock; ++b)
-                path.quantum(slice + b);
-            const double ms =
-                std::chrono::duration<double, std::milli>(
-                    Clock::now() - start).count() /
-                static_cast<double>(kBlock);
-            (with_trace ? traced_ms : bare_ms) = ms;
+                ms += loop.step();
+            (with_trace ? traced_ms : bare_ms) =
+                ms / static_cast<double>(kBlock);
         }
-        slice += kBlock;
         stats.bareMinMs = std::min(stats.bareMinMs, bare_ms);
         stats.tracedMinMs = std::min(stats.tracedMinMs, traced_ms);
         diffsUs.push_back((traced_ms - bare_ms) * 1e3);
     }
-    path.trace = nullptr;
     stats.bestDiffUs =
         *std::min_element(diffsUs.begin(), diffsUs.end());
-    std::nth_element(diffsUs.begin(),
-                     diffsUs.begin() + kRounds / 2, diffsUs.end());
-    stats.medianDiffUs = diffsUs[kRounds / 2];
+    stats.medianDiffUs = percentile(diffsUs, 50.0);
     stats.overheadPct = std::max(
         0.0, stats.bestDiffUs / (stats.bareMinMs * 1e3) * 100.0);
+    stats.medianPct = stats.medianDiffUs / (stats.bareMinMs * 1e3) *
+                      100.0;
     return stats;
 }
 
 /**
- * Steady-state allocations per quantum on the shipped path, counted
- * by the cs_alloc_probe global operator-new replacement. The warmup
- * quanta grow every buffer to its high-water mark; after that the
- * decision loop must not touch the heap at all.
+ * Steady-state allocations per quantum, counted by the cs_alloc_probe
+ * global operator-new replacement. The warm-up quanta grow every
+ * buffer to its high-water mark; after that the decision loop must
+ * not touch the heap at all.
  */
 std::uint64_t
 steadyStateAllocs()
 {
-    HotPath path(true, 512, true, true);
-    // Warm up: slab growth, factor caches, pool batch freelist, DDS
-    // scratch. A few quanta so every code path (fallback candidate,
-    // adoption) has run at least once.
+    ReplayedDecisions loop;
     for (std::size_t q = 0; q < 4; ++q)
-        path.quantum(q);
+        loop.step();
 
     constexpr std::size_t kSteady = 8;
     const std::uint64_t before = AllocProbe::newCount();
-    for (std::size_t q = 4; q < 4 + kSteady; ++q)
-        path.quantum(q);
-    const std::uint64_t after = AllocProbe::newCount();
-    return (after - before) / kSteady;
+    for (std::size_t q = 0; q < kSteady; ++q)
+        loop.step();
+    return (AllocProbe::newCount() - before) / kSteady;
 }
 
 /** One scalar-vs-vector kernel micro row. */
@@ -442,32 +405,41 @@ main(int argc, char **argv)
 {
     const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
     setInformEnabled(false);
-    banner("bench_hotpath", "decision-quantum hot path before/after",
+    banner("bench_hotpath", "the shipped decision quantum",
            "Table II budget: 4.8 ms SGD + 1.3 ms DDS per 100 ms "
            "quantum");
 
-    const RunStats before = run(false, 0, false, false);
-    const RunStats after = run(true, 512, true, true);
+    const DecisionStats d = decisions();
     const TelemetryStats telem = telemetryOverhead();
-    const double speedup = before.meanMs / after.meanMs;
-    const double speedup_min = before.minMs / after.minMs;
     const std::uint64_t allocs = steadyStateAllocs();
     const std::vector<MicroRow> micro = microKernels();
 
-    std::printf("%-28s %10s %10s %14s\n", "configuration", "mean ms",
-                "min ms", "mean objective");
-    std::printf("%-28s %10.3f %10.3f %14.4f\n",
-                "before (cold/full/ref)", before.meanMs, before.minMs,
-                before.meanObjective);
-    std::printf("%-28s %10.3f %10.3f %14.4f\n",
-                "after (warm/delta/arena)", after.meanMs, after.minMs,
-                after.meanObjective);
-    std::printf("combined speedup: %.2fx (min-ms %.2fx)\n", speedup,
-                speedup_min);
-    std::printf("telemetry overhead (paired diff best %+.1f / median "
-                "%+.1f us over %.3f ms floor): %.2f%%\n",
-                telem.bestDiffUs, telem.medianDiffUs, telem.bareMinMs,
-                telem.overheadPct);
+    std::printf("%-24s %10s %10s %10s\n", "decision", "mean ms",
+                "median ms", "min ms");
+    std::printf("%-24s %10.3f\n", "cold (first quantum)", d.coldMs);
+    std::printf("%-24s %10.3f %10.3f %10.3f\n", "warm", d.warmMeanMs,
+                d.warmMedianMs, d.warmMinMs);
+    std::printf("warm phases (PhaseTimer means, ms):");
+    for (const telemetry::Phase p : kDecisionPhases) {
+        std::printf(" %s %.3f", telemetry::phaseName(p),
+                    d.warmPhaseMs[static_cast<std::size_t>(p)]);
+    }
+    std::printf("\n%-24s %10s %10s\n", "work counters", "bips",
+                "power");
+    std::printf("%-24s %10zu %10zu\n", "cold SVD sweeps", d.coldSvdBips,
+                d.coldSvdPower);
+    std::printf("%-24s %10zu %10zu\n", "cold SGD iterations",
+                d.coldIterBips, d.coldIterPower);
+    std::printf("%-24s %10zu\n", "warm SVD sweeps (max)", d.warmSvdMax);
+    std::printf("%-24s %10zu %10zu\n", "warm SGD iterations (max)",
+                d.warmIterMaxBips, d.warmIterMaxPower);
+    std::printf("DDS evaluations per warm quantum: %.1f\n",
+                d.evaluationsPerQuantum);
+    std::printf("telemetry overhead: paired diff best %+.1f us "
+                "(gated, %.2f%%), median %+.1f us (%+.2f%%), over a "
+                "%.3f ms floor\n",
+                telem.bestDiffUs, telem.overheadPct, telem.medianDiffUs,
+                telem.medianPct, telem.bareMinMs);
     std::printf("steady-state allocations/quantum: %llu\n",
                 static_cast<unsigned long long>(allocs));
 
@@ -482,27 +454,40 @@ main(int argc, char **argv)
         std::fprintf(f,
                      "{\n"
                      "  \"quanta\": %zu,\n"
-                     "  \"before_mean_ms\": %.4f,\n"
-                     "  \"before_min_ms\": %.4f,\n"
-                     "  \"before_mean_objective\": %.6f,\n"
-                     "  \"after_mean_ms\": %.4f,\n"
-                     "  \"after_min_ms\": %.4f,\n"
-                     "  \"after_mean_objective\": %.6f,\n"
-                     "  \"speedup\": %.4f,\n"
-                     "  \"speedup_min_ms\": %.4f,\n"
+                     "  \"cold_ms\": %.4f,\n"
+                     "  \"warm_mean_ms\": %.4f,\n"
+                     "  \"warm_median_ms\": %.4f,\n"
+                     "  \"warm_min_ms\": %.4f,\n",
+                     kQuanta, d.coldMs, d.warmMeanMs, d.warmMedianMs,
+                     d.warmMinMs);
+        for (const telemetry::Phase p : kDecisionPhases) {
+            std::fprintf(f, "  \"warm_%s_ms\": %.4f,\n",
+                         telemetry::phaseName(p),
+                         d.warmPhaseMs[static_cast<std::size_t>(p)]);
+        }
+        std::fprintf(f,
+                     "  \"cold_svd_sweeps_bips\": %zu,\n"
+                     "  \"cold_svd_sweeps_power\": %zu,\n"
+                     "  \"cold_sgd_iterations_bips\": %zu,\n"
+                     "  \"cold_sgd_iterations_power\": %zu,\n"
+                     "  \"warm_svd_sweeps_max\": %zu,\n"
+                     "  \"warm_sgd_iterations_max_bips\": %zu,\n"
+                     "  \"warm_sgd_iterations_max_power\": %zu,\n"
+                     "  \"dds_evaluations_per_quantum\": %.1f,\n"
                      "  \"telemetry_bare_min_ms\": %.4f,\n"
                      "  \"telemetry_traced_min_ms\": %.4f,\n"
                      "  \"telemetry_best_paired_diff_us\": %.3f,\n"
                      "  \"telemetry_median_paired_diff_us\": %.3f,\n"
                      "  \"telemetry_overhead_pct\": %.4f,\n"
+                     "  \"telemetry_median_overhead_pct\": %.4f,\n"
                      "  \"steady_state_allocs_per_quantum\": %llu,\n"
                      "  \"micro_kernels\": [\n",
-                     kQuanta, before.meanMs, before.minMs,
-                     before.meanObjective, after.meanMs, after.minMs,
-                     after.meanObjective, speedup, speedup_min,
+                     d.coldSvdBips, d.coldSvdPower, d.coldIterBips,
+                     d.coldIterPower, d.warmSvdMax, d.warmIterMaxBips,
+                     d.warmIterMaxPower, d.evaluationsPerQuantum,
                      telem.bareMinMs, telem.tracedMinMs,
                      telem.bestDiffUs, telem.medianDiffUs,
-                     telem.overheadPct,
+                     telem.overheadPct, telem.medianPct,
                      static_cast<unsigned long long>(allocs));
         for (std::size_t i = 0; i < micro.size(); ++i) {
             std::fprintf(f,
@@ -517,29 +502,46 @@ main(int argc, char **argv)
         std::printf("wrote BENCH_hotpath.json\n");
     }
 
-    if (smoke) {
-        bool ok = true;
-        if (speedup_min < 1.5) {
-            std::printf("SMOKE FAIL: min-ms speedup %.2fx < 1.5x\n",
-                        speedup_min);
-            ok = false;
-        }
-        if (allocs != 0) {
-            std::printf("SMOKE FAIL: %llu steady-state allocations "
-                        "per quantum (expected 0)\n",
-                        static_cast<unsigned long long>(allocs));
-            ok = false;
-        }
-        // DESIGN.md §8 budgets compiled-in telemetry at under 1% of
-        // the decision quantum.
-        if (telem.overheadPct >= 1.0) {
-            std::printf("SMOKE FAIL: telemetry overhead %.2f%% >= "
-                        "1%%\n", telem.overheadPct);
-            ok = false;
-        }
-        if (ok)
-            std::printf("SMOKE PASS\n");
-        return ok ? 0 : 1;
+    if (!smoke)
+        return 0;
+    bool ok = true;
+    if (d.coldSvdBips == 0 || d.coldSvdPower == 0) {
+        std::printf("SMOKE FAIL: the cold decision ran no SVD sweeps "
+                    "(bips %zu, power %zu); the warm gate below would "
+                    "compare nothing\n",
+                    d.coldSvdBips, d.coldSvdPower);
+        ok = false;
     }
-    return 0;
+    if (d.warmSvdMax != 0) {
+        std::printf("SMOKE FAIL: a warm decision ran %zu SVD sweeps "
+                    "(expected 0: warm reconstructions reuse the "
+                    "cached factors)\n",
+                    d.warmSvdMax);
+        ok = false;
+    }
+    if (d.warmIterMaxBips > d.coldIterBips ||
+        d.warmIterMaxPower > d.coldIterPower) {
+        std::printf("SMOKE FAIL: a warm reconstruction took more SGD "
+                    "iterations than the cold one (bips %zu > %zu or "
+                    "power %zu > %zu)\n",
+                    d.warmIterMaxBips, d.coldIterBips,
+                    d.warmIterMaxPower, d.coldIterPower);
+        ok = false;
+    }
+    if (allocs != 0) {
+        std::printf("SMOKE FAIL: %llu steady-state allocations per "
+                    "quantum (expected 0)\n",
+                    static_cast<unsigned long long>(allocs));
+        ok = false;
+    }
+    // DESIGN.md §8 budgets compiled-in telemetry at under 1% of the
+    // decision quantum.
+    if (telem.overheadPct >= 1.0) {
+        std::printf("SMOKE FAIL: telemetry overhead %.2f%% >= 1%%\n",
+                    telem.overheadPct);
+        ok = false;
+    }
+    if (ok)
+        std::printf("SMOKE PASS\n");
+    return ok ? 0 : 1;
 }

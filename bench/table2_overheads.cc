@@ -171,34 +171,6 @@ BM_SerialDds(benchmark::State &state)
 BENCHMARK(BM_SerialDds)->Unit(benchmark::kMillisecond);
 
 void
-BM_DdsReference(benchmark::State &state)
-{
-    // Full evaluatePoint per candidate (the pre-delta inner loop).
-    const SearchSetup setup;
-    DdsOptions options;
-    options.threads = 8;
-    options.useDeltaEval = false;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(parallelDds(setup.ctx, options));
-    }
-}
-BENCHMARK(BM_DdsReference)->Unit(benchmark::kMillisecond);
-
-void
-BM_DdsDelta(benchmark::State &state)
-{
-    // O(#perturbed-dims) delta evaluation per candidate.
-    const SearchSetup setup;
-    DdsOptions options;
-    options.threads = 8;
-    options.useDeltaEval = true;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(parallelDds(setup.ctx, options));
-    }
-}
-BENCHMARK(BM_DdsDelta)->Unit(benchmark::kMillisecond);
-
-void
 BM_GeneticSearch(benchmark::State &state)
 {
     const SearchSetup setup;

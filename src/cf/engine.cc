@@ -88,11 +88,6 @@ CfEngine::predictInto(Matrix &out) const
 void
 CfEngine::predictInto(Matrix &out, ScratchArena &arena) const
 {
-    if (!factorWarmStart_) {
-        // No warm starts: forget the shape (keeping the capacity) so
-        // every run is an identical cold start.
-        factors_.invalidate();
-    }
     const SgdRunStats stats = reconstructInto(
         ratings_, options_,
         rowContext_.empty() ? nullptr : &rowContext_,

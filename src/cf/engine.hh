@@ -94,17 +94,12 @@ class CfEngine
     std::size_t lastSvdSweeps() const { return lastSvdSweeps_; }
 
     /**
-     * Enable/disable reusing the previous reconstruction's factors as
-     * the next one's starting point (on by default). clearJob() keeps
-     * the cache and resets only the churned job's row, which the next
-     * warm run re-initializes by fold-in against the retained
-     * configuration factors; invalidateFactors() drops the whole
-     * cache.
+     * Drop the cached factors; the next predict() cold-starts. Every
+     * other predict() warm-starts from the previous reconstruction's
+     * factors. clearJob() keeps the cache and resets only the churned
+     * job's row, which the next warm run re-initializes by fold-in
+     * against the retained configuration factors.
      */
-    void setFactorWarmStart(bool enable) { factorWarmStart_ = enable; }
-    bool factorWarmStart() const { return factorWarmStart_; }
-
-    /** Drop the cached factors; the next predict() cold-starts. */
     void invalidateFactors() { factors_.invalidate(); }
 
     /** True when a warm start is available for the next predict(). */
@@ -122,7 +117,6 @@ class CfEngine
     RatingMatrix ratings_;
     SgdOptions options_;
     std::vector<double> rowContext_; //!< empty = no context
-    bool factorWarmStart_ = true;
     mutable SgdFactors factors_;     //!< last predict()'s factors
     mutable std::size_t lastIterations_ = 0;
     mutable std::size_t lastSvdSweeps_ = 0;

@@ -200,12 +200,9 @@ struct FleetOptions
     /** Fleet-wide trace sink; per-node records are drained into it in
      *  node-index order, each stamped with its node. Null = untraced.
      *  Untraced, the controller phases reserve their scratch at
-     *  construction. What is gated heap-free (ZeroAlloc) is the parts:
-     *  a 256-node loop over the churn engine, ledger, placement round
-     *  and power split; a node's job-event queue and memo seed; the
-     *  memo table; a node's quantum without churn. A node step that
-     *  applies churn still allocates, so no gate covers a whole
-     *  churning cluster quantum. */
+     *  construction, and a whole churning cluster quantum is
+     *  heap-free once warm (ZeroAlloc gates stepQuantum() at 256
+     *  nodes). */
     telemetry::TraceSink *sink = nullptr;
 
     bool validateDecisions = true;

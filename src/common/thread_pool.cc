@@ -195,6 +195,18 @@ ThreadPool::parallelForTask(std::size_t n, TaskRef task)
         batch = acquireBatch();
         batch->task = task;
         batch->n = n;
+        // Workers retire exhausted batches by advancing the head, and
+        // the retired prefix is dropped only when the queue drains —
+        // which a long busy stretch (a fleet's node steps, each
+        // opening nested regions) may never do. Shift the live tail
+        // down in place before the vector would have to grow, so its
+        // capacity stays at the reserved bound whatever the schedule.
+        if (queue_.size() == queue_.capacity() && queueHead_ > 0) {
+            queue_.erase(queue_.begin(),
+                         queue_.begin() +
+                             static_cast<std::ptrdiff_t>(queueHead_));
+            queueHead_ = 0;
+        }
         queue_.push_back(batch);
     }
     // Wake chain: rouse one worker; each worker that claims an index

@@ -91,8 +91,21 @@ CuttleSysScheduler::CuttleSysScheduler(const SystemParams &params,
     CS_ASSERT(lc_qos_sec > 0.0, "QoS target must be positive");
     if (!tables.latencyRowUtil.empty())
         latencyEngine_.setTrainingContext(tables.latencyRowUtil);
-    // setMemoSeed() fills it in the fleet's memo phase, heap-free.
+    // Buffers the steady state fills are sized here, so no quantum
+    // pays for their first growth (a fleet node's first memo-seeded or
+    // fast-reuse quantum can come at any point of the day): the memo
+    // seed (filled in the fleet's memo phase), the fast path's re-fit
+    // point and revalidator, the enforcement victim list, and every
+    // search seed slot (see chooseBatchConfigs).
     memoSeed_.reserve(numBatchJobs_);
+    fastRepairScratch_.reserve(numBatchJobs_);
+    revalidator_.reserve(numBatchJobs_);
+    capEnforcement_.victims.reserve(numBatchJobs_);
+    const std::size_t max_seeds = options_.dds.seedPoints.size() + 3;
+    ddsOpts_.seedPoints.reserve(max_seeds);
+    spareSeeds_.resize(max_seeds);
+    for (Point &slot : spareSeeds_)
+        slot.reserve(numBatchJobs_);
 }
 
 void
@@ -459,7 +472,6 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
         dds.maxIterations = options_.dds.maxIterations;
         dds.threads = options_.dds.threads;
         dds.seed = options_.dds.seed;
-        dds.useDeltaEval = options_.dds.useDeltaEval;
         dds.pinned = options_.dds.pinned;
 
         // Seed the search with a greedy warm start, the previous
@@ -476,7 +488,22 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
         if (options_.searchWarmStart)
             nseeds += 1 + (prev_seed ? 1 : 0);
         nseeds += memo_seed ? 1 : 0;
-        dds.seedPoints.resize(nseeds);
+        // Resize without destroying slots: surplus points park in
+        // spareSeeds_ and come back when the count grows again (the
+        // memo seed comes and goes), so each point's buffer is
+        // allocated once. Every live slot is overwritten below.
+        while (dds.seedPoints.size() > nseeds) {
+            spareSeeds_.push_back(std::move(dds.seedPoints.back()));
+            dds.seedPoints.pop_back();
+        }
+        while (dds.seedPoints.size() < nseeds) {
+            if (spareSeeds_.empty()) {
+                dds.seedPoints.emplace_back();
+            } else {
+                dds.seedPoints.push_back(std::move(spareSeeds_.back()));
+                spareSeeds_.pop_back();
+            }
+        }
         for (std::size_t i = 0; i < base_seeds; ++i)
             dds.seedPoints[i] = options_.dds.seedPoints[i];
         std::size_t next_seed = base_seeds;
@@ -510,9 +537,6 @@ CuttleSysScheduler::chooseBatchConfigs(const SliceContext &ctx,
         switch (options_.searchAlgo) {
           case SearchAlgo::ParallelDds:
             parallelDds(prepared_, dds, ddsScratch_, found);
-            break;
-          case SearchAlgo::SerialDds:
-            serialDds(prepared_, dds, ddsScratch_, found);
             break;
           case SearchAlgo::Ga: {
               GaOptions ga = options_.ga;

@@ -57,7 +57,6 @@ struct TrainingTables
 enum class SearchAlgo
 {
     ParallelDds, //!< the paper's contribution (default)
-    SerialDds,   //!< textbook DDS (ablation)
     Ga,          //!< Flicker's optimizer (Fig 10 comparison)
 };
 
@@ -304,6 +303,7 @@ class CuttleSysScheduler : public Scheduler
     PreparedObjective prepared_;  //!< rebuilt (in place) per quantum
     DdsScratch ddsScratch_;
     DdsOptions ddsOpts_;          //!< per-quantum working copy
+    std::vector<Point> spareSeeds_; //!< seed slots not in use now
     SearchResult searchResult_;
     KnapsackSeed knapsackSeed_;
     CapEnforcement capEnforcement_; //!< this quantum's gating outcome

@@ -8,6 +8,21 @@
 
 namespace cuttlesys {
 
+namespace {
+
+/**
+ * Buffer entries for @p qps over @p sec: twice the expected arrivals
+ * plus a floor. With 2x headroom a noisy window rarely sets a new
+ * high-water, so the buffers settle early and stay heap-free.
+ */
+std::size_t
+headroomEntries(double qps, double sec)
+{
+    return static_cast<std::size_t>(2.0 * qps * sec) + 64;
+}
+
+} // namespace
+
 LcQueueSim::LcQueueSim(AppProfile profile, std::size_t num_servers,
                        double ips_per_core, std::uint64_t seed)
     : profile_(std::move(profile)),
@@ -81,20 +96,27 @@ LcQueueSim::dispatch()
 }
 
 void
+LcQueueSim::reserveForLoad(double qps, double window_sec)
+{
+    CS_ASSERT(qps >= 0.0 && window_sec >= 0.0, "negative load window");
+    const std::size_t want = headroomEntries(qps, window_sec);
+    pending_.reserve(want);
+    window_.reserve(want);
+    tailScratch_.reserve(want);
+}
+
+void
 LcQueueSim::run(double duration)
 {
     CS_ASSERT(duration >= 0.0, "negative run duration");
     const double end = now_ + duration;
 
     // Amortized-headroom growth for the event buffers: reserve twice
-    // this window's expected arrivals up front. push_back's exact
-    // doubling would still occasionally realloc quanta later when a
-    // noisy window sets a new high-water; with 2x headroom the
-    // buffers settle during warm-up and the steady state stays
-    // heap-free.
+    // this run's expected arrivals up front, so push_back's exact
+    // doubling never reallocs mid-run. A load above any earlier one
+    // still grows them here; reserveForLoad() sizes them ahead.
     if (qps_ > 0.0) {
-        const std::size_t want =
-            static_cast<std::size_t>(2.0 * qps_ * duration) + 64;
+        const std::size_t want = headroomEntries(qps_, duration);
         if (pending_.capacity() < want)
             pending_.reserve(want);
         if (window_.capacity() < window_.size() + want)

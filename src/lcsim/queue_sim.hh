@@ -54,6 +54,15 @@ class LcQueueSim
     /** Grow/shrink the server pool (core relocation). */
     void setServers(std::size_t num_servers);
 
+    /**
+     * Size the event and measurement buffers for @p qps offered over
+     * a @p window_sec measurement window, with the headroom run()
+     * grows them by. A sim built for a known peak load (the
+     * calibrated max QPS) reaches its high-water capacity here, not
+     * one realloc per new load high in its first busy windows.
+     */
+    void reserveForLoad(double qps, double window_sec);
+
     /** Advance simulated time by @p duration seconds. */
     void run(double duration);
 

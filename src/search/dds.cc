@@ -66,20 +66,19 @@ selectionProbability(std::size_t i, std::size_t max_iter)
 
 /**
  * Generate one DDS candidate from @p base into @p x (capacity-
- * reusing). When @p changed is non-null it receives the indices of
- * the perturbed dimensions (for the delta evaluation path). Consumes
- * the same RNG stream as it always did: one uniform per dimension,
- * the perturbation draws, and — only on the all-skipped fallback —
- * exactly one uniformInt to pick the forced dimension.
+ * reusing); @p changed receives the indices of the perturbed
+ * dimensions, which the delta evaluation reads. Consumes one uniform
+ * per dimension, the perturbation draws, and — only on the
+ * all-skipped fallback — exactly one uniformInt to pick the forced
+ * dimension.
  */
 void
 makeCandidateInto(const Point &base, double p, double r,
                   std::size_t num_configs,
                   const std::vector<bool> &pinned, Rng &rng, Point &x,
-                  std::vector<std::size_t> *changed = nullptr)
+                  std::vector<std::size_t> &changed)
 {
-    if (changed)
-        changed->clear();
+    changed.clear();
     x = base;
     bool any = false;
     for (std::size_t d = 0; d < x.size(); ++d) {
@@ -87,8 +86,7 @@ makeCandidateInto(const Point &base, double p, double r,
             continue;
         if (rng.uniform() < p) {
             x[d] = detail::perturbDim(x[d], r, num_configs, rng);
-            if (changed)
-                changed->push_back(d);
+            changed.push_back(d);
             any = true;
         }
     }
@@ -112,8 +110,7 @@ makeCandidateInto(const Point &base, double p, double r,
                 --pick;
             }
             x[d] = detail::perturbDim(x[d], r, num_configs, rng);
-            if (changed)
-                changed->push_back(d);
+            changed.push_back(d);
         }
     }
 }
@@ -166,30 +163,21 @@ serialDds(const PreparedObjective &prep, const DdsOptions &options,
 
     const double r = options.rValues.front();
     scratch.incumbent.attach(prep);
-    if (options.useDeltaEval)
-        scratch.incumbent.setIncumbent(out.best);
+    scratch.incumbent.setIncumbent(out.best);
     for (std::size_t i = 1; i <= options.maxIterations; ++i) {
         const double p = selectionProbability(i, options.maxIterations);
         makeCandidateInto(out.best, p, r, configs, options.pinned, rng,
-                          scratch.candidate,
-                          options.useDeltaEval ? &scratch.changed
-                                               : nullptr);
-        const PointMetrics m = options.useDeltaEval
-            ? scratch.incumbent.evaluateCandidate(
-                  scratch.candidate.data(), scratch.changed.data(),
-                  scratch.changed.size())
-            : evaluatePoint(scratch.candidate, prep.context());
+                          scratch.candidate, scratch.changed);
+        const PointMetrics m = scratch.incumbent.evaluateCandidate(
+            scratch.candidate.data(), scratch.changed.data(),
+            scratch.changed.size());
         ++out.evaluations;
         recordTrace(trace, m);
         if (m.objective > out.metrics.objective) {
             out.best = scratch.candidate;
-            if (options.useDeltaEval) {
-                // Re-anchor exactly so delta drift never compounds.
-                scratch.incumbent.setIncumbent(out.best);
-                out.metrics = scratch.incumbent.incumbentMetrics();
-            } else {
-                out.metrics = m;
-            }
+            // Re-anchor exactly so delta drift never compounds.
+            scratch.incumbent.setIncumbent(out.best);
+            out.metrics = scratch.incumbent.incumbentMetrics();
         }
     }
     if (trace)
@@ -274,31 +262,22 @@ parallelDds(const PreparedObjective &prep, const DdsOptions &options,
             DdsWorkerState &st = scratch.workers[tid];
             st.localBest = xbest;
             st.localMetrics = best_metrics;
-            if (options.useDeltaEval)
-                st.incumbent.setIncumbent(st.localBest);
+            st.incumbent.setIncumbent(st.localBest);
             for (std::size_t j = 0; j < options.pointsPerIteration;
                  ++j) {
-                makeCandidateInto(
-                    st.localBest, p, st.r, configs, options.pinned,
-                    st.rng, st.candidate,
-                    options.useDeltaEval ? &st.changed : nullptr);
-                const PointMetrics m = options.useDeltaEval
-                    ? st.incumbent.evaluateCandidate(
-                          st.candidate.data(), st.changed.data(),
-                          st.changed.size())
-                    : evaluatePoint(st.candidate, prep.context());
+                makeCandidateInto(st.localBest, p, st.r, configs,
+                                  options.pinned, st.rng, st.candidate,
+                                  st.changed);
+                const PointMetrics m = st.incumbent.evaluateCandidate(
+                    st.candidate.data(), st.changed.data(),
+                    st.changed.size());
                 ++st.evaluations;
                 if (trace)
                     st.trace.push_back(m);
                 if (m.objective > st.localMetrics.objective) {
                     st.localBest = st.candidate;
-                    if (options.useDeltaEval) {
-                        st.incumbent.setIncumbent(st.localBest);
-                        st.localMetrics =
-                            st.incumbent.incumbentMetrics();
-                    } else {
-                        st.localMetrics = m;
-                    }
+                    st.incumbent.setIncumbent(st.localBest);
+                    st.localMetrics = st.incumbent.incumbentMetrics();
                 }
             }
         });

@@ -14,7 +14,10 @@
  *    generates pointsPerIteration candidates per round, and a barrier
  *    reduction picks the next shared best point.
  *
- * Default parameters reproduce Fig 6's table.
+ * Both evaluate a candidate as an O(#perturbed-dims) delta against
+ * the incumbent's accumulators (DeltaEvaluator) and recompute every
+ * adopted incumbent exactly, so reported metrics never carry delta
+ * drift. Default parameters reproduce Fig 6's table.
  */
 
 #ifndef CUTTLESYS_SEARCH_DDS_HH
@@ -37,14 +40,6 @@ struct DdsOptions
     std::size_t maxIterations = 40;
     std::size_t threads = 8;   //!< parallelDds worker count
     std::uint64_t seed = 9;
-    /**
-     * Evaluate candidates as O(#perturbed-dims) deltas against the
-     * incumbent's accumulators instead of re-walking every job
-     * (incumbent metrics are always recomputed exactly, so search
-     * results match the reference path — see DeltaEvaluator). Off =
-     * the reference evaluatePoint path, kept for verification.
-     */
-    bool useDeltaEval = true;
     /**
      * Dimensions may be pinned (the LC job's configuration is fixed
      * before the search); pinned entries of the seed point are never

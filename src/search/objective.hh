@@ -102,8 +102,6 @@ class PreparedObjective
     /** True once rebuild() has run. */
     bool ready() const { return ctx_ != nullptr; }
 
-    const ObjectiveContext &context() const { return *ctx_; }
-
     std::size_t numJobs() const { return numJobs_; }
     std::size_t numConfigs() const { return numConfigs_; }
 
@@ -181,6 +179,9 @@ class DeltaEvaluator
      * quantum allocates nothing in steady state.
      */
     void attach(const PreparedObjective &prepared);
+
+    /** Size the incumbent buffer for @p jobs dimensions up front. */
+    void reserve(std::size_t jobs) { incumbent_.reserve(jobs); }
 
     /** Adopt @p x as the incumbent; accumulators computed exactly. */
     void setIncumbent(const Point &x);

@@ -38,6 +38,11 @@ MulticoreSim::MulticoreSim(SystemParams params, WorkloadMix mix,
     const JobConfig widest(CoreConfig::widest(), kNumCacheAllocs - 1);
     const double ips = coreIps(mix_.lc, widest, params_);
     lcSim_ = std::make_unique<LcQueueSim>(mix_.lc, 16, ips, rng_());
+    // A calibrated service's buffers are sized for its peak load over
+    // one timeslice now, so the run's first busy quanta do not grow
+    // them one load high at a time.
+    if (mix_.lc.maxQps > 0.0)
+        lcSim_->reserveForLoad(mix_.lc.maxQps, params_.timesliceSec);
 
     phaseOffsets_.resize(1 + mix_.batch.size());
     for (auto &offset : phaseOffsets_)

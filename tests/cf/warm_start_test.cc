@@ -135,12 +135,14 @@ TEST(WarmStartTest, WarmStartCanBeDisabled)
     Rng rng(61);
     const Matrix training = lowRankMatrix(10, 16, 3, rng);
     CfEngine engine(training, 1, 16);
-    engine.setFactorWarmStart(false);
     engine.observe(0, 3, training(2, 3));
 
     const Matrix a = engine.predict();
+    EXPECT_TRUE(engine.hasCachedFactors());
+    engine.invalidateFactors();
+    EXPECT_FALSE(engine.hasCachedFactors());
     const Matrix b = engine.predict();
-    // Without warm starts every predict() is an identical cold run.
+    // Dropping the cache makes the next predict() an identical cold run.
     EXPECT_NEAR(a.subtract(b).maxAbs(), 0.0, 1e-12);
 }
 
@@ -149,17 +151,19 @@ TEST(WarmStartTest, PredictIntoMatchesPredict)
     Rng rng(63);
     const Matrix training = lowRankMatrix(10, 16, 3, rng);
     CfEngine engine(training, 2, 16);
-    engine.setFactorWarmStart(false); // identical runs for comparison
     engine.observe(1, 5, training(4, 5));
 
+    // Every run cold-starts, so the runs are identical for comparison.
     const Matrix by_value = engine.predict();
     Matrix into;
+    engine.invalidateFactors();
     engine.predictInto(into);
     ASSERT_EQ(into.rows(), by_value.rows());
     ASSERT_EQ(into.cols(), by_value.cols());
     EXPECT_NEAR(into.subtract(by_value).maxAbs(), 0.0, 1e-12);
 
     // A second call reuses the existing buffer (shape already right).
+    engine.invalidateFactors();
     engine.predictInto(into);
     EXPECT_NEAR(into.subtract(by_value).maxAbs(), 0.0, 1e-12);
 }

@@ -1,44 +1,38 @@
 /**
  * @file
- * Steady-state zero-allocation gate for the decision-quantum hot path.
+ * Steady-state zero-allocation gates for the shipped quantum.
  *
  * This binary links cs_alloc_probe, which replaces the global
  * operator new/delete with counting forwarders (which is why these
- * tests live in their own executable instead of test_common). The
- * gate drives the same quantum loop as the runtime — arena reset,
- * three reconstructions, matrix copies, objective table rebuild,
- * parallel DDS — with an accreting observation trickle, and asserts
- * that after warm-up the loop performs literally zero heap
+ * tests live in their own executable instead of test_common). Each
+ * gate warms a shipped component — the scheduler's decision loop, a
+ * fleet node (steady, churning, fast-reuse, under cap enforcement),
+ * a whole 256-node FleetController, the DAG overlay, the trace path
+ * — and asserts that afterwards it performs literally zero heap
  * allocations per quantum.
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "cf/engine.hh"
-#include "cluster/accounting.hh"
-#include "cluster/churn.hh"
 #include "cluster/dag/artifact_cache.hh"
 #include "cluster/dag/workflow.hh"
+#include "cluster/fleet.hh"
 #include "cluster/memo.hh"
 #include "cluster/node.hh"
-#include "cluster/placement.hh"
-#include "cluster/power_manager.hh"
 #include "common/alloc_probe.hh"
 #include "common/arena.hh"
-#include "common/kernels.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
-#include "config/job_config.hh"
-#include "search/dds.hh"
+#include "power/power_model.hh"
 #include "telemetry/quantum_trace.hh"
 #include "telemetry/trace_sink.hh"
 #include "../core/core_fixture.hh"
@@ -46,94 +40,72 @@
 namespace cuttlesys {
 namespace {
 
-constexpr std::size_t kTrainingRows = 10;
-constexpr std::size_t kLiveJobs = 17;
-constexpr std::size_t kBatchJobs = 16;
-
-Matrix
-makeTraining(std::uint64_t seed, double lo, double hi)
+/** Driver options of the node-level gates: constant load, untraced,
+ *  no slice records, at @p power_frac of the node's max power. */
+DriverOptions
+nodeOptions(double power_frac)
 {
-    Matrix m(kTrainingRows, kNumJobConfigs);
-    Rng rng(seed);
-    for (std::size_t r = 0; r < kTrainingRows; ++r) {
-        for (std::size_t c = 0; c < kNumJobConfigs; ++c) {
-            const double size =
-                static_cast<double>(c) / kNumJobConfigs;
-            m(r, c) = lo + (hi - lo) * size + rng.uniform(0.0, 0.3);
-        }
-    }
-    return m;
+    DriverOptions opts;
+    opts.durationSec = 10.0;
+    opts.loadPattern = LoadPattern::constant(0.45);
+    opts.powerPattern = LoadPattern::constant(power_frac);
+    opts.maxPowerW = 150.0;
+    opts.keepSliceRecords = false;
+    return opts;
 }
 
-/** The runtime's per-quantum hot path over persistent state. */
-struct QuantumLoop
+/**
+ * The scheduler's decision loop alone, over replayed slice contexts:
+ * every quantum brings fresh profiling samples for all jobs and the
+ * previous slice's measurement at the configurations the scheduler
+ * itself chose, as the driver would, but without the simulator.
+ */
+struct ReplayedDecisions
 {
-    CfEngine bips{makeTraining(3, 0.5, 6.0), kLiveJobs,
-                  kNumJobConfigs};
-    CfEngine power{makeTraining(5, 1.0, 3.5), kLiveJobs,
-                   kNumJobConfigs};
+    const SystemParams params;
+    const WorkloadMix mix = makeTestMix();
+    CuttleSysScheduler sched;
     Rng rng{83};
-    ScratchArena arena;
-    Matrix predBips, predPower;
-    Matrix searchBips{kBatchJobs, kNumJobConfigs};
-    Matrix searchPower{kBatchJobs, kNumJobConfigs};
-    ObjectiveContext ctx;
-    PreparedObjective prepared;
-    DdsOptions dds;
-    DdsScratch scratch;
-    SearchResult found;
-    std::size_t quantum = 0;
+    SliceContext ctx;
+    SliceMeasurement measured;
+    SliceDecision decisions[2];
+    std::size_t slice = 0;
 
-    QuantumLoop()
+    explicit ReplayedDecisions(CuttleSysOptions opts)
+        : sched(params, testTrainingTables(), mix.batch.size(),
+                mix.lc.qosSeconds(), std::move(opts))
     {
-        for (CfEngine *e : {&bips, &power}) {
-            e->setFactorWarmStart(true);
-            e->options().threads = 4;
-            e->options().convergenceSamples = 512;
-        }
-        for (std::size_t j = 0; j < kLiveJobs; ++j) {
-            bips.observe(j, 0, rng.uniform(0.5, 6.0));
-            bips.observe(j, kNumJobConfigs - 1,
-                         rng.uniform(0.5, 6.0));
-            power.observe(j, 0, rng.uniform(0.5, 3.0));
-            power.observe(j, kNumJobConfigs - 1,
-                          rng.uniform(0.5, 3.0));
-        }
-        dds.threads = 8;
-        dds.useDeltaEval = true;
-        dds.maxIterations = 20;
+        ctx.powerBudgetW = 100.0;
+        ctx.lcQosSec = mix.lc.qosSeconds();
+        ctx.profiles.resize(1 + mix.batch.size());
+        measured.lcTailLatency = 0.5 * ctx.lcQosSec;
+        measured.lcCompleted = 200;
+        measured.lcUtilization = 0.5;
+        measured.lcPower = 40.0;
+        measured.batchBips.resize(mix.batch.size());
+        measured.batchPower.resize(mix.batch.size());
     }
 
     void
-    run()
+    step()
     {
-        // The observation set accretes like the real runtime's: one
-        // fresh measured cell per metric per quantum. This is what
-        // forces the arena's amortized-headroom growth policy — an
-        // exact-fit slab would overflow by a few bytes every quantum.
-        const std::size_t job = quantum % kLiveJobs;
-        const std::size_t cfg = 1 + quantum % (kNumJobConfigs - 2);
-        bips.observe(job, cfg, rng.uniform(0.5, 6.0));
-        power.observe(job, cfg, rng.uniform(0.5, 3.0));
-
-        arena.reset();
-        bips.predictInto(predBips, arena);
-        power.predictInto(predPower, arena);
-
-        kernels::copy(searchBips.data(), predBips.rowPtr(1),
-                      kBatchJobs * kNumJobConfigs);
-        kernels::copy(searchPower.data(), predPower.rowPtr(1),
-                      kBatchJobs * kNumJobConfigs);
-
-        ctx.bips = &searchBips;
-        ctx.power = &searchPower;
-        ctx.powerBudgetW = 30.0;
-        ctx.cacheBudgetWays = 28.0;
-        prepared.rebuild(ctx);
-
-        dds.seed = 11 + quantum;
-        parallelDds(prepared, dds, scratch, found);
-        ++quantum;
+        ctx.sliceIndex = slice;
+        ctx.timeSec = 0.1 * static_cast<double>(slice);
+        for (ProfilePair &p : ctx.profiles) {
+            p.bipsWide = rng.uniform(2.0, 6.0);
+            p.bipsNarrow = rng.uniform(0.5, 2.0);
+            p.powerWide = rng.uniform(2.0, 3.5);
+            p.powerNarrow = rng.uniform(0.5, 1.5);
+        }
+        for (std::size_t j = 0; j < mix.batch.size(); ++j) {
+            measured.batchBips[j] = rng.uniform(0.5, 6.0);
+            measured.batchPower[j] = rng.uniform(0.5, 3.5);
+        }
+        ctx.previous = slice > 0 ? &measured : nullptr;
+        ctx.previousDecision =
+            slice > 0 ? &decisions[(slice + 1) % 2] : nullptr;
+        sched.decideInto(ctx, decisions[slice % 2]);
+        ++slice;
     }
 };
 
@@ -150,17 +122,23 @@ TEST(ZeroAlloc, ProbeCountsThisBinarysAllocations)
 
 TEST(ZeroAlloc, DecisionQuantumIsHeapFreeAfterWarmUp)
 {
+    // The shipped decision quantum — ingest, three reconstructions
+    // from the quantum arena, the LC scan, the greedy seed, parallel
+    // DDS and cap enforcement — over an accreting observation set,
+    // every quantum a full one.
     setInformEnabled(false);
-    QuantumLoop loop;
+    CuttleSysOptions opts;
+    opts.fastPath = false;
+    ReplayedDecisions loop(opts);
     // Warm-up: buffers size themselves, the thread pool spins up, the
     // arena grows to its high-water (with headroom).
     for (int q = 0; q < 4; ++q)
-        loop.run();
+        loop.step();
 
     constexpr int kMeasured = 8;
     const std::uint64_t before = AllocProbe::newCount();
     for (int q = 0; q < kMeasured; ++q)
-        loop.run();
+        loop.step();
     const std::uint64_t allocs = AllocProbe::newCount() - before;
 
     EXPECT_EQ(allocs, 0u)
@@ -168,43 +146,99 @@ TEST(ZeroAlloc, DecisionQuantumIsHeapFreeAfterWarmUp)
         << allocs << " times over " << kMeasured << " quanta";
 }
 
-TEST(ZeroAlloc, ChurnQuantumIsHeapFree)
+TEST(ZeroAlloc, MemoSeedComingAndGoingIsHeapFree)
 {
-    // Job churn resets one row of each engine's cached factors; the
-    // next reconstruction stays warm and re-initializes that row by
-    // fold-in from arena scratch, so a churning quantum must not touch
-    // the heap either. The engines run the scheduler's SVD warm start,
-    // which a whole-cache reset would trigger (on the heap).
+    // The fleet installs a memo seed on some quanta and not on
+    // others, so the search's seed count moves between two and three
+    // every few quanta. The seed slots must keep their buffers across
+    // that: a warmed scheduler alternating seeded and unseeded full
+    // quanta must not touch the heap.
     setInformEnabled(false);
-    QuantumLoop loop;
-    for (CfEngine *e : {&loop.bips, &loop.power})
-        e->options().svdWarmStart = true;
-    // The churned slot is the one run() observes next, so its fresh
-    // row holds one cell and takes the fold-in path.
-    const auto churn = [&loop] {
-        const std::size_t job = loop.quantum % kLiveJobs;
-        loop.bips.clearJob(job);
-        loop.power.clearJob(job);
+    CuttleSysOptions opts;
+    opts.fastPath = false;
+    ReplayedDecisions loop(opts);
+    const std::size_t jobs = loop.mix.batch.size();
+    const std::vector<std::uint16_t> seed(jobs, 3);
+    const auto step = [&](int q) {
+        if (q % 2 == 0)
+            loop.sched.setMemoSeed(seed.data(), jobs);
+        loop.step();
     };
-    for (int q = 0; q < 4; ++q) {
-        if (q == 2)
-            churn();
-        loop.run();
-    }
+    for (int q = 0; q < 4; ++q)
+        step(q);
 
     constexpr int kMeasured = 8;
     const std::uint64_t before = AllocProbe::newCount();
-    for (int q = 0; q < kMeasured; ++q) {
-        churn();
-        loop.run();
+    for (int q = 0; q < kMeasured; ++q)
+        step(q);
+    const std::uint64_t allocs = AllocProbe::newCount() - before;
+
+    EXPECT_EQ(allocs, 0u)
+        << "alternating memo-seeded and unseeded quanta touched the "
+        << "heap " << allocs << " times over " << kMeasured
+        << " quanta";
+}
+
+TEST(ZeroAlloc, ChurnQuantumIsHeapFree)
+{
+    // Every measured quantum a shipped fleet node takes a departure
+    // plus an arrival on one slot: the run queues the events, the
+    // simulator swaps the job in, the scheduler drops the slot's CF
+    // row (CfEngine::clearJob) and runs a full quantum whose warm
+    // reconstruction re-initializes that row by fold-in from arena
+    // scratch. None of it may touch the heap, and the churn must not
+    // push the engines back onto the cold SVD start.
+    setInformEnabled(false);
+    const SystemParams params;
+    WorkloadMix mix = makeTestMix();
+    const std::vector<AppProfile> arrivals = mix.batch;
+    CuttleSysOptions sched;
+    sched.loadChangeThreshold = 1.0;
+    cluster::ClusterNode node(params, testTrainingTables(),
+                              std::move(mix), 21, nodeOptions(0.7), 3,
+                              sched);
+    const std::size_t slots = node.numBatchSlots();
+    const auto churnEvents = [&](std::size_t q) {
+        std::vector<JobEvent> events(2);
+        events[0].slot = q % slots;
+        events[0].departure = true;
+        events[1].slot = q % slots;
+        events[1].arrival = arrivals[(q + 1) % arrivals.size()];
+        events[1].account = 1;
+        return events;
+    };
+
+    constexpr std::size_t kWarm = 12;
+    constexpr std::size_t kMeasured = 8;
+    for (std::size_t q = 0; q < kWarm; ++q) {
+        if (q >= kWarm - 2) {
+            for (const JobEvent &e : churnEvents(q))
+                node.queueJobEvent(e);
+        }
+        node.step();
+    }
+    // Built before the measured region: only the node's work is gated.
+    std::vector<std::vector<JobEvent>> measured;
+    for (std::size_t q = kWarm; q < kWarm + kMeasured; ++q)
+        measured.push_back(churnEvents(q));
+
+    const std::uint64_t fullBefore = node.scheduler().fullQuanta();
+    const std::uint64_t before = AllocProbe::newCount();
+    for (const std::vector<JobEvent> &events : measured) {
+        for (const JobEvent &e : events)
+            node.queueJobEvent(e);
+        node.step();
     }
     const std::uint64_t allocs = AllocProbe::newCount() - before;
 
     EXPECT_EQ(allocs, 0u)
-        << "churning decision quantum touched the heap " << allocs
+        << "churning fleet-node quantum touched the heap " << allocs
         << " times over " << kMeasured << " quanta";
-    EXPECT_EQ(loop.bips.lastSvdSweeps(), 0u);
-    EXPECT_EQ(loop.power.lastSvdSweeps(), 0u);
+    EXPECT_EQ(node.scheduler().fullQuanta() - fullBefore, kMeasured)
+        << "every churned quantum must run the full pipeline";
+    EXPECT_EQ(node.run().result().jobArrivals, kMeasured + 2);
+    EXPECT_EQ(node.scheduler().bipsEngine().lastSvdSweeps(), 0u);
+    EXPECT_EQ(node.scheduler().powerEngine().lastSvdSweeps(), 0u);
 }
 
 TEST(ZeroAlloc, FleetNodeSteadyStateQuantumIsHeapFree)
@@ -216,12 +250,6 @@ TEST(ZeroAlloc, FleetNodeSteadyStateQuantumIsHeapFree)
     // what keeps an N-node fleet step allocation-free outside churn.
     setInformEnabled(false);
     const SystemParams params;
-    DriverOptions opts;
-    opts.durationSec = 10.0;
-    opts.loadPattern = LoadPattern::constant(0.45);
-    opts.powerPattern = LoadPattern::constant(0.7);
-    opts.maxPowerW = 150.0;
-    opts.keepSliceRecords = false;
     // Steady state means stable load AND a stable colocation: churn
     // (CfEngine::clearJob) has its own gate, ChurnQuantumIsHeapFree.
     // At constant offered load the default load-change threshold can
@@ -234,7 +262,8 @@ TEST(ZeroAlloc, FleetNodeSteadyStateQuantumIsHeapFree)
     // The fast-reuse path has its own gate below.
     sched.fastPath = false;
     cluster::ClusterNode node(params, testTrainingTables(),
-                              makeTestMix(), 21, opts, 3, sched);
+                              makeTestMix(), 21, nodeOptions(0.7), 3,
+                              sched);
 
     // Warm-up: profiling slices, buffer growth, factor caches, the
     // thread pool, and the validator's scratch all settle.
@@ -312,17 +341,12 @@ TEST(ZeroAlloc, CapEnforcementWithVictimsIsHeapFree)
     // the scheduler's buffer rather than allocate a fresh list.
     setInformEnabled(false);
     const SystemParams params;
-    DriverOptions opts;
-    opts.durationSec = 10.0;
-    opts.loadPattern = LoadPattern::constant(0.45);
-    opts.powerPattern = LoadPattern::constant(0.25);
-    opts.maxPowerW = 150.0;
-    opts.keepSliceRecords = false;
     CuttleSysOptions sched;
     sched.loadChangeThreshold = 1.0;
     sched.fastPath = false;
     cluster::ClusterNode node(params, testTrainingTables(),
-                              makeTestMix(), 21, opts, 3, sched);
+                              makeTestMix(), 21, nodeOptions(0.25), 3,
+                              sched);
 
     const auto gated = [&node] {
         std::size_t off = 0;
@@ -359,16 +383,11 @@ TEST(ZeroAlloc, FastReuseQuantumIsHeapFree)
     // all reuse capacity sized during warm-up.
     setInformEnabled(false);
     const SystemParams params;
-    DriverOptions opts;
-    opts.durationSec = 10.0;
-    opts.loadPattern = LoadPattern::constant(0.45);
-    opts.powerPattern = LoadPattern::constant(0.7);
-    opts.maxPowerW = 150.0;
-    opts.keepSliceRecords = false;
     CuttleSysOptions sched;
     sched.loadChangeThreshold = 1.0;
     cluster::ClusterNode node(params, testTrainingTables(),
-                              makeTestMix(), 21, opts, 3, sched);
+                              makeTestMix(), 21, nodeOptions(0.7), 3,
+                              sched);
 
     for (int q = 0; q < 12; ++q)
         node.step();
@@ -405,332 +424,68 @@ TEST(ZeroAlloc, MemoCacheFindAndStoreAreHeapFree)
     EXPECT_EQ(AllocProbe::newCount() - before, 0u);
 }
 
-/**
- * One full controller quantum over a 256-node fleet, built from the
- * production control-phase components: the parallel churn scan
- * staging per-node departure lists in per-worker arenas, the serial
- * node-order merge admitting account-stamped arrivals into the
- * pending queue, the accounting ledger's decay/fair-share step and
- * per-slot usage charging, the O(1) view gather, PlacementRound's
- * score-once/heap-commit placement in priority order (fair-share x
- * age x class, ties to sequence), an eviction through the refresh
- * seam every quantum, ClusterPowerManager's block-parallel split,
- * and the parallel load scan. Per-node simulators are replaced by a
- * planned-occupancy state machine so the gate isolates the
- * controller phases themselves.
- */
-struct ControllerQuantum
-{
-    static constexpr std::size_t kNodes = 256;
-    static constexpr std::size_t kSlots = 16;
-
-    cluster::BackfillBinPack policy;
-    cluster::JobChurnEngine churn;
-    cluster::AccountingLedger ledger;
-    cluster::ClusterPowerManager power;
-    cluster::PlacementRound round;
-    WorkerArenaSet arenas{ThreadPool::global().slotCount()};
-
-    struct NodePlan
-    {
-        std::uint16_t *departSlots = nullptr;
-        std::uint16_t numDeparts = 0;
-        std::uint16_t arrivals = 0;
-    };
-    std::vector<NodePlan> plan;
-
-    std::vector<std::uint8_t> occupied;
-    std::vector<std::size_t> freeCount;
-    std::vector<std::size_t> firstVacant;
-    std::vector<cluster::NodeView> views;
-    std::vector<double> budgets;
-    std::vector<double> loads;
-    std::vector<cluster::PendingJob> pending;
-    std::vector<double> prio;
-    std::vector<std::uint32_t> order;
-    std::vector<char> placedFlags;
-    std::vector<std::int32_t> slotAccount;
-    std::uint32_t nextSeq = 0;
-    std::uint64_t quantum = 0;
-
-    static std::vector<AppProfile>
-    jobPool()
-    {
-        // Short names stay within std::string's SSO buffer, like the
-        // SPEC gallery's: a profile copy must not allocate.
-        std::vector<AppProfile> pool(4);
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-            pool[i].name = "job-";
-            pool[i].name += static_cast<char>('a' + i);
-            pool[i].seed = 7 + i;
-        }
-        return pool;
-    }
-
-    static std::vector<cluster::TenantSpec>
-    tenants()
-    {
-        // Names within the SSO buffer: the ledger copy-constructing
-        // its TenantSpec vector at setup is the only allocation.
-        return {
-            cluster::TenantSpec{.name = "t-a", .arrivalWeight = 0.65,
-                                .shares = 1.0,
-                                .qosClass = cluster::QosClass::Batch},
-            cluster::TenantSpec{.name = "t-b", .arrivalWeight = 0.25,
-                                .shares = 1.0,
-                                .qosClass = cluster::QosClass::Normal},
-            cluster::TenantSpec{
-                .name = "t-c", .arrivalWeight = 0.10, .shares = 1.0,
-                .qosClass = cluster::QosClass::Interactive},
-        };
-    }
-
-    ControllerQuantum()
-        : churn(jobPool(), kNodes, 31,
-                cluster::ChurnOptions{
-                    .departureProbability = 0.10,
-                    .meanArrivalsPerQuantum = 64.0,
-                    .maxPendingJobs = 2 * kNodes,
-                    .tenantArrivalWeights = {0.65, 0.25, 0.10}}),
-          ledger(tenants()),
-          power(cluster::PowerPolicy::HeadroomRebalance,
-                cluster::PowerManagerOptions{.rackBudgetW = 24000.0,
-                                             .nodeFloorW = 30.0,
-                                             .nodeCapW = 130.0,
-                                             .qosBoostW = 10.0})
-    {
-        plan.resize(kNodes);
-        occupied.assign(kNodes * kSlots, 0);
-        freeCount.assign(kNodes, kSlots);
-        firstVacant.assign(kNodes, 0);
-        views.resize(kNodes);
-        budgets.assign(kNodes, 90.0);
-        loads.assign(kNodes, 0.0);
-        pending.reserve(4 * kNodes);
-        prio.reserve(4 * kNodes);
-        order.reserve(4 * kNodes);
-        placedFlags.reserve(4 * kNodes);
-        slotAccount.assign(kNodes * kSlots, -1);
-        Rng rng(5);
-        for (std::size_t i = 0; i < kNodes; ++i) {
-            for (std::size_t s = 0; s < kSlots; ++s) {
-                if (rng.uniform(0.0, 1.0) < 0.5) {
-                    occupied[i * kSlots + s] = 1;
-                    slotAccount[i * kSlots + s] =
-                        static_cast<std::int32_t>(churn.accountAt(
-                            cluster::JobChurnEngine::kResidentQuantum,
-                            i, s));
-                    --freeCount[i];
-                }
-            }
-            while (firstVacant[i] < kSlots &&
-                   occupied[i * kSlots + firstVacant[i]]) {
-                ++firstVacant[i];
-            }
-        }
-        // Worst-case staging prewarm, as FleetController performs:
-        // the worker schedule (never the results) varies per run, so
-        // each arena must already fit a whole-fleet scan.
-        for (std::size_t s = 0; s < arenas.size(); ++s)
-            arenas.at(s).alloc<std::uint16_t>(kNodes * kSlots);
-        arenas.resetAll();
-    }
-
-    void
-    run()
-    {
-        auto &pool = ThreadPool::global();
-        // Quantum head: decay the ledger and refresh the fair-share
-        // factors admission and ordering consult below.
-        ledger.beginQuantum();
-        // Phase 1: churn — parallel scan into arena staging, serial
-        // node-order merge.
-        arenas.resetAll();
-        pool.parallelChunks(
-            kNodes, 32,
-            [this](std::size_t, std::size_t begin, std::size_t end) {
-                ScratchArena &arena =
-                    arenas.at(ThreadPool::currentSlot());
-                for (std::size_t i = begin; i < end; ++i) {
-                    std::uint16_t *stage =
-                        arena.alloc<std::uint16_t>(kSlots);
-                    std::uint16_t count = 0;
-                    for (std::size_t s = 0; s < kSlots; ++s) {
-                        if (occupied[i * kSlots + s] &&
-                            churn.departs(quantum, i, s)) {
-                            stage[count++] =
-                                static_cast<std::uint16_t>(s);
-                        }
-                    }
-                    plan[i].departSlots = stage;
-                    plan[i].numDeparts = count;
-                    plan[i].arrivals = static_cast<std::uint16_t>(
-                        churn.arrivalsAt(quantum, i));
-                }
-            });
-        for (std::size_t i = 0; i < kNodes; ++i) {
-            for (std::uint16_t d = 0; d < plan[i].numDeparts; ++d) {
-                const std::size_t s = plan[i].departSlots[d];
-                occupied[i * kSlots + s] = 0;
-                slotAccount[i * kSlots + s] = -1;
-                ++freeCount[i];
-                firstVacant[i] = std::min(firstVacant[i], s);
-            }
-            for (std::uint16_t k = 0; k < plan[i].arrivals; ++k) {
-                if (pending.size() >= 2 * kNodes)
-                    continue;
-                cluster::PendingJob job;
-                job.profile = churn.drawJobAt(quantum, i, k);
-                job.submitSlice = quantum;
-                job.account = static_cast<std::int32_t>(
-                    churn.accountAt(quantum, i, k));
-                job.qosClass = ledger.qosClass(
-                    static_cast<std::size_t>(job.account));
-                job.arrivalSeq = nextSeq++;
-                ledger.recordArrival(
-                    static_cast<std::size_t>(job.account));
-                pending.push_back(std::move(job));
-            }
-        }
-        // Charge every occupied slot's usage for the quantum (the
-        // fleet's gather-phase accounting: pure arithmetic over the
-        // ledger's fixed-size arrays).
-        for (std::size_t i = 0; i < kNodes; ++i) {
-            for (std::size_t s = 0; s < kSlots; ++s) {
-                const std::int32_t a = slotAccount[i * kSlots + s];
-                if (a >= 0)
-                    ledger.chargeUsage(static_cast<std::size_t>(a),
-                                       0.5, 0.1, 0.05, 2.0);
-            }
-        }
-        // Phase 2: gather — O(1) counters, disjoint writes.
-        pool.parallelChunks(
-            kNodes, 32,
-            [this](std::size_t, std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    cluster::NodeView &v = views[i];
-                    v.node = i;
-                    v.freeSlots = freeCount[i];
-                    v.occupiedSlots = kSlots - freeCount[i];
-                    v.loadFraction = 0.3 +
-                        0.4 * static_cast<double>(i % 7) / 7.0;
-                    v.budgetW = budgets[i];
-                    v.measuredPowerW = 50.0 + 40.0 * v.loadFraction;
-                    v.headroomW = v.budgetW - v.measuredPowerW;
-                    v.qosViolated = (i % 11) == 0;
-                    v.stepped = true;
-                }
-            });
-        // Phase 3: place — parallel scoring, priority-ordered heap
-        // commit (the fair-share order the fleet uses: priority desc,
-        // arrival sequence asc, over persistent scratch).
-        round.begin(policy, views, pool);
-        prio.resize(pending.size());
-        order.resize(pending.size());
-        placedFlags.assign(pending.size(), 0);
-        for (std::size_t j = 0; j < pending.size(); ++j) {
-            const cluster::PendingJob &job = pending[j];
-            prio[j] = ledger.priority(
-                static_cast<std::size_t>(job.account), job.qosClass,
-                job.submitSlice, quantum);
-            order[j] = static_cast<std::uint32_t>(j);
-        }
-        std::sort(order.begin(), order.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      if (prio[a] != prio[b])
-                          return prio[a] > prio[b];
-                      return pending[a].arrivalSeq <
-                          pending[b].arrivalSeq;
-                  });
-        // Exercise the eviction seam once per quantum: vacate one
-        // occupied slot of a rotating node and re-enter it through
-        // refresh(), exactly as the fleet's preemption path does.
-        {
-            const std::size_t victim = quantum % kNodes;
-            for (std::size_t s = kSlots; s-- > 0;) {
-                const std::size_t idx = victim * kSlots + s;
-                if (!occupied[idx])
-                    continue;
-                ledger.recordPreemption(
-                    2, static_cast<std::size_t>(slotAccount[idx]));
-                occupied[idx] = 0;
-                slotAccount[idx] = -1;
-                ++freeCount[victim];
-                firstVacant[victim] =
-                    std::min(firstVacant[victim], s);
-                ++views[victim].freeSlots;
-                --views[victim].occupiedSlots;
-                round.refresh(victim);
-                break;
-            }
-        }
-        std::size_t committed = 0;
-        for (const std::uint32_t j : order) {
-            const std::size_t target = round.placeOne();
-            if (target == cluster::PlacementPolicy::kNoNode)
-                break;
-            std::size_t &hint = firstVacant[target];
-            occupied[target * kSlots + hint] = 1;
-            slotAccount[target * kSlots + hint] = pending[j].account;
-            ledger.recordPlacement(
-                static_cast<std::size_t>(pending[j].account));
-            --freeCount[target];
-            while (hint < kSlots && occupied[target * kSlots + hint])
-                ++hint;
-            placedFlags[j] = 1;
-            ++committed;
-        }
-        // Stable in-place compaction of the unplaced entries.
-        if (committed == pending.size()) {
-            pending.clear();
-        } else if (committed > 0) {
-            std::size_t keep = 0;
-            for (std::size_t j = 0; j < pending.size(); ++j) {
-                if (placedFlags[j])
-                    continue;
-                if (keep != j)
-                    pending[keep] = std::move(pending[j]);
-                ++keep;
-            }
-            pending.resize(keep);
-        }
-        // Phase 4: budget — block-parallel weights, ordered clip.
-        power.split(views, budgets, pool);
-        // Phase 5: shift scan — parallel load lookups.
-        pool.parallelChunks(
-            kNodes, 32,
-            [this](std::size_t, std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    loads[i] = 0.5 +
-                        0.3 * static_cast<double>((i + quantum) % 5) /
-                            5.0;
-                }
-            });
-        ++quantum;
-    }
-};
-
 TEST(ZeroAlloc, ControllerQuantumAt256NodesIsHeapFree)
 {
-    // The fleet tentpole gate: a full 256-node controller quantum —
-    // every parallel phase drawing scratch from per-worker arenas and
-    // reduction buffers from persistent members — must not touch the
-    // heap once warm.
+    // The fleet gate: whole stepQuantum() calls of the shipped
+    // controller at 256 nodes, with churn (10% departures, 64
+    // arrivals per quantum), three fair-share tenants and the memo
+    // cache on, every node stepping its full CuttleSys stack — the
+    // churn scan and merge, placement with preemption, the power
+    // split, load shifting, the memo probe and store, the concurrent
+    // node steps and the gather. None of it may touch the heap once
+    // warm. DAG workflows are off; their merge mutations have their
+    // own gate below.
     setInformEnabled(false);
-    ControllerQuantum ctl;
-    for (int q = 0; q < 4; ++q)
-        ctl.run();
+    const SystemParams params;
+    const TrainTestSplit split = splitSpecGallery();
+    cluster::FleetOptions opts;
+    opts.numNodes = 256;
+    opts.seed = 31;
+    opts.scenario.daySeconds = 2.4;
+    opts.scenario.loadTrough = 0.5;
+    opts.scenario.loadPeak = 0.5;
+    opts.loadScaleMin = 1.0;
+    opts.loadScaleMax = 1.0;
+    opts.churn.departureProbability = 0.10;
+    opts.churn.meanArrivalsPerQuantum = 64.0;
+    opts.churn.maxPendingJobs = 2 * opts.numNodes;
+    // Names within std::string's SSO buffer, like the SPEC gallery's:
+    // copying a tenant or profile name must not allocate.
+    opts.tenants = {
+        cluster::TenantSpec{.name = "t-a", .arrivalWeight = 0.65,
+                            .shares = 1.0,
+                            .qosClass = cluster::QosClass::Batch},
+        cluster::TenantSpec{.name = "t-b", .arrivalWeight = 0.25,
+                            .shares = 1.0,
+                            .qosClass = cluster::QosClass::Normal},
+        cluster::TenantSpec{.name = "t-c", .arrivalWeight = 0.10,
+                            .shares = 1.0,
+                            .qosClass = cluster::QosClass::Interactive},
+    };
+    cluster::BackfillBinPack placement;
+    cluster::FleetController fleet(
+        params, testTrainingTables(), calibratedTailbench()[0],
+        split.test, systemMaxPower(split.test, params), placement,
+        opts);
 
-    constexpr int kMeasured = 8;
+    constexpr std::size_t kWarm = 12;
+    constexpr std::size_t kMeasured = 12;
+    ASSERT_GE(fleet.numQuanta(), kWarm + kMeasured);
+    for (std::size_t q = 0; q < kWarm; ++q)
+        fleet.stepQuantum();
+
     const std::uint64_t before = AllocProbe::newCount();
-    for (int q = 0; q < kMeasured; ++q)
-        ctl.run();
+    for (std::size_t q = 0; q < kMeasured; ++q)
+        fleet.stepQuantum();
     const std::uint64_t allocs = AllocProbe::newCount() - before;
 
     EXPECT_EQ(allocs, 0u)
-        << "steady-state 256-node controller quantum touched the "
-        << "heap " << allocs << " times over " << kMeasured
-        << " quanta";
+        << "steady-state 256-node cluster quantum touched the heap "
+        << allocs << " times over " << kMeasured << " quanta";
+    const cluster::FleetSummary s = fleet.summary();
+    EXPECT_GT(s.departures, 0u);
+    EXPECT_GT(s.placements, 0u);
+    EXPECT_GT(s.memoHits, 0u) << "the memo seed path must run";
 }
 
 TEST(ZeroAlloc, DagWorkflowQuantumIsHeapFree)

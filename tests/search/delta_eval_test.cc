@@ -139,39 +139,6 @@ TEST(DeltaEvaluatorTest, ChangedListMayIncludeUnchangedDims)
                       evaluatePoint(incumbent, f.ctx));
 }
 
-TEST(DdsDeltaTest, SerialSearchIdenticalWithAndWithoutDelta)
-{
-    for (const bool hard : {false, true}) {
-        SearchFixture f(16, 40.0);
-        f.ctx.hardConstraints = hard;
-        DdsOptions with, without;
-        with.useDeltaEval = true;
-        without.useDeltaEval = false;
-        const SearchResult a = serialDds(f.ctx, with);
-        const SearchResult b = serialDds(f.ctx, without);
-        EXPECT_EQ(a.best, b.best) << "hard=" << hard;
-        EXPECT_EQ(a.metrics.objective, b.metrics.objective);
-        EXPECT_EQ(a.evaluations, b.evaluations);
-    }
-}
-
-TEST(DdsDeltaTest, ParallelSearchIdenticalWithAndWithoutDelta)
-{
-    for (const bool hard : {false, true}) {
-        SearchFixture f(16, 40.0);
-        f.ctx.hardConstraints = hard;
-        DdsOptions with, without;
-        with.threads = without.threads = 4;
-        with.useDeltaEval = true;
-        without.useDeltaEval = false;
-        const SearchResult a = parallelDds(f.ctx, with);
-        const SearchResult b = parallelDds(f.ctx, without);
-        EXPECT_EQ(a.best, b.best) << "hard=" << hard;
-        EXPECT_EQ(a.metrics.objective, b.metrics.objective);
-        EXPECT_EQ(a.evaluations, b.evaluations);
-    }
-}
-
 TEST(PerturbDimTest, StaysInDomain)
 {
     Rng rng(41);
